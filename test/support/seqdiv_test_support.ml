@@ -40,3 +40,12 @@ let qcheck ?(count = 200) name arbitrary prop =
 
 let check_float name ~epsilon expected actual =
   Alcotest.(check (float epsilon)) name expected actual
+
+let digested_line body =
+  let h =
+    String.fold_left
+      (fun h c ->
+        Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      0xcbf29ce484222325L body
+  in
+  Printf.sprintf "%s %016Lx" body h

@@ -36,3 +36,9 @@ val qcheck : ?count:int -> string -> 'a QCheck.arbitrary -> ('a -> bool)
 
 val check_float : string -> epsilon:float -> float -> float -> unit
 (** Alcotest float comparison with absolute tolerance. *)
+
+val digested_line : string -> string
+(** [digested_line body] is [body] followed by a space and the 16-hex
+    FNV-1a digest of [body] — a digest-valid journal line, computed
+    independently of the journals' own codec, for tests that plant a
+    well-formed line with bad semantics. *)

@@ -108,6 +108,70 @@ let test_failed_outcomes_rejected () =
       | _ -> Alcotest.fail "Failed outcomes must not be journalled"
       | exception Invalid_argument _ -> ())
 
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let write_lines path lines =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter
+        (fun l ->
+          Out_channel.output_string oc l;
+          Out_channel.output_char oc '\n')
+        lines)
+
+let test_bad_semantics_stops_loader () =
+  with_path (fun path ->
+      let j = Journal.start ~context:"ctx" path in
+      List.iter (Journal.record j) sample_entries;
+      Journal.flush j;
+      (* A digest-valid line that is no cell: [blind] with non-zero
+         response bits.  The loader stops there, so the valid lines
+         after it are dropped with it. *)
+      let bad =
+        Seqdiv_test_support.digested_line
+          "cell 42 stide 9 2 blind 3ff0000000000000"
+      in
+      (match read_lines path with
+      | header :: ctx :: first :: rest ->
+          write_lines path (header :: ctx :: first :: bad :: rest)
+      | _ -> Alcotest.fail "journal too short");
+      let j' = Journal.start ~resume:true ~context:"ctx" path in
+      Alcotest.(check int) "only the prefix before it recovered" 1
+        (Journal.recovered j');
+      Alcotest.(check int) "it and everything after dropped"
+        (List.length sample_entries)
+        (Journal.dropped_lines j'))
+
+let test_torn_tail_resume_append () =
+  with_path (fun path ->
+      let j = Journal.start ~context:"ctx" path in
+      List.iter (Journal.record j) sample_entries;
+      Journal.flush j;
+      let contents = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (String.sub contents 0 (String.length contents - 10)));
+      let j = Journal.start ~resume:true ~context:"ctx" path in
+      Alcotest.(check int) "torn line dropped" 1 (Journal.dropped_lines j);
+      Journal.record j
+        (entry ~detector:"lnb" ~window:6 ~anomaly_size:4 (Outcome.Weak 0.5));
+      Journal.flush j;
+      Alcotest.(check int) "the repair rewrites" 1 (Journal.compactions j);
+      Journal.record j
+        (entry ~detector:"lnb" ~window:7 ~anomaly_size:4 Outcome.Blind);
+      Journal.flush j;
+      Alcotest.(check int) "the repaired file takes appends" 1
+        (Journal.appends j);
+      let j' = Journal.start ~resume:true ~context:"ctx" path in
+      Alcotest.(check int) "clean after repair and append" 0
+        (Journal.dropped_lines j');
+      Alcotest.(check int) "prefix plus both new cells" 4 (Journal.recovered j');
+      Alcotest.(check bool) "appended cell readable" true
+        (Journal.lookup j' ~seed:42 ~detector:"lnb" ~window:7 ~anomaly_size:4
+        = Some Outcome.Blind))
+
 (* --- resume over the real engine --------------------------------------- *)
 
 let suite_cache = ref None
@@ -249,6 +313,10 @@ let () =
             test_bad_header_refused;
           Alcotest.test_case "failed outcomes rejected" `Quick
             test_failed_outcomes_rejected;
+          Alcotest.test_case "digest-valid bad cell stops the loader" `Quick
+            test_bad_semantics_stops_loader;
+          Alcotest.test_case "torn tail, resume, append" `Quick
+            test_torn_tail_resume_append;
         ] );
       ( "resume",
         [

@@ -146,6 +146,34 @@ let test_torn_tail_dropped () =
       Alcotest.(check (list int)) "appendable after recovery" [ 1; 9 ]
         (session_ids r2))
 
+let test_wrong_commit_count () =
+  with_temp (fun path ->
+      let j = Shard_journal.start ~context path in
+      commit_group j [ session 1 ] [] [ batch 0 ];
+      commit_group j [ session 2 ] [] [ batch 1 ];
+      commit_group j [ session 3 ] [] [ batch 2 ];
+      (* Replace the second group's marker with a digest-valid one that
+         miscounts its group: that group and every later line go. *)
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      Alcotest.(check int) "header, context, three groups of three" 11
+        (List.length lines);
+      Out_channel.with_open_bin path (fun oc ->
+          List.iteri
+            (fun i l ->
+              Out_channel.output_string oc
+                (if i = 7 then Seqdiv_test_support.digested_line "k 1" else l);
+              Out_channel.output_char oc '\n')
+            lines);
+      let r = Shard_journal.start ~resume:true ~context path in
+      Alcotest.(check (list int)) "first group only" [ 1 ] (session_ids r);
+      Alcotest.(check (list int)) "its batch only" [ 0 ] (batch_ids r);
+      Alcotest.(check int) "second and third groups dropped" 6
+        (Shard_journal.dropped_lines r))
+
 let test_context_mismatch () =
   with_temp (fun path ->
       let j = Shard_journal.start ~context path in
@@ -204,6 +232,8 @@ let () =
           Alcotest.test_case "uncommitted group dropped" `Quick
             test_uncommitted_group_dropped;
           Alcotest.test_case "torn tail dropped" `Quick test_torn_tail_dropped;
+          Alcotest.test_case "wrong commit count drops the rest" `Quick
+            test_wrong_commit_count;
           Alcotest.test_case "context mismatch" `Quick test_context_mismatch;
           Alcotest.test_case "fresh start truncates" `Quick
             test_fresh_start_truncates;
