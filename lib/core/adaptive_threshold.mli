@@ -8,8 +8,9 @@
     estimated online — the threshold then {e tracks} the distribution
     and the observed alarm rate holds near the configured budget.
 
-    A {!t} is one detector's controller: a streaming quantile sketch
-    ({!Quantile}) plus hysteresis.  {!step} is the only mutation: it
+    A {!t} is one detector's controller: a Greenwald–Khanna quantile
+    summary ({!Quantile}) — whose deterministic rank-error bound is
+    what the budget guarantee rests on — plus hysteresis.  {!step} is the only mutation: it
     decides the current window {e at the pre-update threshold} (the
     decision must not depend on the score being judged), absorbs the
     score, and refreshes the threshold every [refresh] windows once
@@ -23,11 +24,6 @@
     system-wide alarm budget across heterogeneous members by the union
     bound, with the paper's Stide-suppresses-Markov policy
     ({!default_members}) as the wired default. *)
-
-(** Which sketch backs the controller.  [Gk] (default) has the
-    deterministic ε rank-error bound; [P2] is the constant-space
-    heuristic alternative (compared in [bench --adaptive]). *)
-type estimator = Gk | P2
 
 type config = {
   budget : float;  (** target per-detector false-alarm rate, in (0,1) *)
@@ -44,7 +40,6 @@ type config = {
           can reprice a large mass, so a value-space band would either
           chatter or stick *)
   initial : float;  (** threshold until the first refresh *)
-  estimator : estimator;
 }
 
 val config :
@@ -53,7 +48,6 @@ val config :
   ?warmup:int ->
   ?refresh:int ->
   ?hysteresis:float ->
-  ?estimator:estimator ->
   initial:float ->
   unit ->
   config
@@ -101,8 +95,8 @@ val to_string : t -> string
 
 val of_string : config -> string -> t option
 (** Parse a {!to_string} token back under [config]; [None] if the
-    token is malformed or disagrees with [config] (wrong estimator
-    kind, epsilon or quantile target). *)
+    token is malformed or disagrees with [config] (a sketch with
+    another epsilon, or whose count is not the judged windows). *)
 
 val equal : t -> t -> bool
 (** Bit-level state equality (counters, threshold, sketch). *)

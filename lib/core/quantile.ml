@@ -1,4 +1,4 @@
-(* Streaming quantile sketches (see quantile.mli for the contract).
+(* Streaming quantile sketch (see quantile.mli for the contract).
 
    Lint posture: [observe] is a registered hot/score root (Reach), so
    the per-symbol path keeps to preallocated parallel arrays and
@@ -367,211 +367,3 @@ let of_string s =
           end
       | _ -> None)
   | _ -> None
-
-(* --- P² ---------------------------------------------------------------- *)
-
-module P2 = struct
-  (* Jain & Chlamtac 1985: five markers (min, three interior, max)
-     whose heights approximate q(0), q(φ/2), q(φ), q((1+φ)/2), q(1);
-     interior markers drift toward their desired positions by
-     parabolic (fallback linear) interpolation.  Exact below five
-     observations (the height array doubles as a sorted buffer). *)
-  type t = {
-    p_phi : float;
-    p_dn : float array;  (* desired-position increments, fixed *)
-    mutable p_count : int;
-    p_q : float array;  (* marker heights *)
-    p_n : int array;  (* marker positions, 1-based *)
-    p_nd : float array;  (* desired marker positions *)
-    mutable p_k : int;  (* scratch: insert/cell index *)
-  }
-
-  let create ~phi =
-    if not (phi >= 0.0 && phi <= 1.0) then
-      (* lint: allow partiality — documented precondition *)
-      invalid_arg (Printf.sprintf "Quantile.P2.create: phi %g not in [0, 1]"
-                     phi);
-    {
-      p_phi = phi;
-      p_dn = [| 0.0; phi /. 2.0; phi; (1.0 +. phi) /. 2.0; 1.0 |];
-      p_count = 0;
-      p_q = Array.make 5 0.0;
-      p_n = Array.make 5 0;
-      p_nd = Array.make 5 0.0;
-      p_k = 0;
-    }
-
-  let phi t = t.p_phi
-  let count t = t.p_count
-
-  let observe t x =
-    Seqdiv_util.Deadline.checkpoint ();
-    if Float.is_nan x then
-      (* lint: allow partiality — documented precondition *)
-      invalid_arg "Quantile.P2.observe: NaN";
-    if t.p_count < 5 then begin
-      (* Sorted insert into the first p_count slots. *)
-      t.p_k <- t.p_count;
-      while t.p_k > 0 && t.p_q.(t.p_k - 1) > x do
-        t.p_q.(t.p_k) <- t.p_q.(t.p_k - 1);
-        t.p_k <- t.p_k - 1
-      done;
-      t.p_q.(t.p_k) <- x;
-      t.p_count <- t.p_count + 1;
-      if t.p_count = 5 then
-        for i = 0 to 4 do
-          t.p_n.(i) <- i + 1;
-          t.p_nd.(i) <- 1.0 +. (4.0 *. t.p_dn.(i))
-        done
-    end
-    else begin
-      (* Locate the cell, widening the extremes in place. *)
-      if x < t.p_q.(0) then begin
-        t.p_q.(0) <- x;
-        t.p_k <- 0
-      end
-      else if x >= t.p_q.(4) then begin
-        t.p_q.(4) <- x;
-        t.p_k <- 3
-      end
-      else begin
-        t.p_k <- 0;
-        while x >= t.p_q.(t.p_k + 1) do
-          t.p_k <- t.p_k + 1
-        done
-      end;
-      for i = t.p_k + 1 to 4 do
-        t.p_n.(i) <- t.p_n.(i) + 1
-      done;
-      for i = 0 to 4 do
-        t.p_nd.(i) <- t.p_nd.(i) +. t.p_dn.(i)
-      done;
-      t.p_count <- t.p_count + 1;
-      for i = 1 to 3 do
-        let d = t.p_nd.(i) -. float_of_int t.p_n.(i) in
-        if
-          (d >= 1.0 && t.p_n.(i + 1) - t.p_n.(i) > 1)
-          || (d <= -1.0 && t.p_n.(i - 1) - t.p_n.(i) < -1)
-        then begin
-          let s = if d >= 1.0 then 1 else -1 in
-          let sf = float_of_int s in
-          let qi = t.p_q.(i) and qm = t.p_q.(i - 1) and qp = t.p_q.(i + 1) in
-          let ni = float_of_int t.p_n.(i)
-          and nm = float_of_int t.p_n.(i - 1)
-          and np = float_of_int t.p_n.(i + 1) in
-          let parabolic =
-            qi
-            +. sf /. (np -. nm)
-               *. (((ni -. nm +. sf) *. (qp -. qi) /. (np -. ni))
-                  +. ((np -. ni -. sf) *. (qi -. qm) /. (ni -. nm)))
-          in
-          let adjusted =
-            if qm < parabolic && parabolic < qp then parabolic
-            else if s = 1 then qi +. ((qp -. qi) /. (np -. ni))
-            else qi -. ((qm -. qi) /. (nm -. ni))
-          in
-          t.p_q.(i) <- adjusted;
-          t.p_n.(i) <- t.p_n.(i) + s
-        end
-      done
-    end
-
-  let quantile t =
-    if t.p_count = 0 then
-      (* lint: allow partiality — documented precondition *)
-      invalid_arg "Quantile.P2.quantile: no observations";
-    if t.p_count >= 5 then t.p_q.(2)
-    else
-      (* Exact from the sorted prefix. *)
-      let idx =
-        int_of_float (Float.round (t.p_phi *. float_of_int (t.p_count - 1)))
-      in
-      t.p_q.(Stdlib.max 0 (Stdlib.min (t.p_count - 1) idx))
-
-  let rank t x =
-    if t.p_count = 0 then
-      (* lint: allow partiality — documented precondition *)
-      invalid_arg "Quantile.P2.rank: no observations";
-    if Float.is_nan x then
-      (* lint: allow partiality — documented precondition *)
-      invalid_arg "Quantile.P2.rank: NaN";
-    if t.p_count < 5 then begin
-      (* Exact from the sorted prefix. *)
-      let c = ref 0 in
-      for i = 0 to t.p_count - 1 do
-        if Float.compare t.p_q.(i) x <= 0 then incr c
-      done;
-      float_of_int !c /. float_of_int t.p_count
-    end
-    else if Float.compare x t.p_q.(0) < 0 then 0.0
-    else if Float.compare x t.p_q.(4) >= 0 then 1.0
-    else begin
-      (* Linear interpolation between the bracketing markers'
-         positions — heuristic, like everything P². *)
-      let i = ref 0 in
-      while Float.compare t.p_q.(!i + 1) x <= 0 do
-        incr i
-      done;
-      let qa = t.p_q.(!i) and qb = t.p_q.(!i + 1) in
-      let na = float_of_int t.p_n.(!i) and nb = float_of_int t.p_n.(!i + 1) in
-      let pos =
-        if qb <= qa then nb
-        else na +. ((x -. qa) /. (qb -. qa) *. (nb -. na))
-      in
-      Float.min 1.0 (Float.max 0.0 (pos /. float_of_int t.p_count))
-    end
-
-  (* p21:<phi-bits>:<count>:<q-bits x5>:<n x5>:<nd-bits x5> *)
-  let to_string t =
-    let join f =
-      String.concat "," (List.init 5 f)
-    in
-    Printf.sprintf "p21:%s:%d:%s:%s:%s" (bits t.p_phi) t.p_count
-      (join (fun i -> bits t.p_q.(i)))
-      (join (fun i -> string_of_int t.p_n.(i)))
-      (join (fun i -> bits t.p_nd.(i)))
-
-  let parse5 conv s =
-    match String.split_on_char ',' s with
-    | [ a; b; c; d; e ] -> (
-        match (conv a, conv b, conv c, conv d, conv e) with
-        | Some a, Some b, Some c, Some d, Some e -> Some [| a; b; c; d; e |]
-        | _ -> None)
-    | _ -> None
-
-  let of_string s =
-    match String.split_on_char ':' s with
-    | [ "p21"; phi_s; count_s; q_s; n_s; nd_s ] -> (
-        match
-          ( float_of_hex phi_s,
-            int_of_dec count_s,
-            parse5 float_of_hex q_s,
-            parse5 int_of_dec n_s,
-            parse5 float_of_hex nd_s )
-        with
-        | Some p, Some cnt, Some q, Some n, Some nd
-          when p >= 0.0 && p <= 1.0 ->
-            let t = create ~phi:p in
-            t.p_count <- cnt;
-            Array.blit q 0 t.p_q 0 5;
-            Array.blit n 0 t.p_n 0 5;
-            Array.blit nd 0 t.p_nd 0 5;
-            Some t
-        | _ -> None)
-    | _ -> None
-
-  let equal a b =
-    let fbits = Int64.bits_of_float in
-    let arr_eq cmp x y =
-      let ok = ref true in
-      for i = 0 to 4 do
-        if not (cmp x.(i) y.(i)) then ok := false
-      done;
-      !ok
-    in
-    fbits a.p_phi = fbits b.p_phi
-    && a.p_count = b.p_count
-    && arr_eq (fun u v -> fbits u = fbits v) a.p_q b.p_q
-    && arr_eq ( = ) a.p_n b.p_n
-    && arr_eq (fun u v -> fbits u = fbits v) a.p_nd b.p_nd
-end
