@@ -895,21 +895,6 @@ let run_micro suite maps deploy trie =
 
 (* --- machine-readable report (--json) ---------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path opts engine maps =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -921,17 +906,17 @@ let write_json path opts engine maps =
   out "    \"jobs\": %d\n" opts.jobs;
   out "  },\n";
   out "  \"machine\": {\n";
-  out "    \"hostname\": \"%s\",\n" (json_escape (Unix.gethostname ()));
-  out "    \"os_type\": \"%s\",\n" (json_escape Sys.os_type);
+  out "    \"hostname\": \"%s\",\n" (Json.escape (Unix.gethostname ()));
+  out "    \"os_type\": \"%s\",\n" (Json.escape Sys.os_type);
   out "    \"word_size\": %d,\n" Sys.word_size;
-  out "    \"ocaml_version\": \"%s\",\n" (json_escape Sys.ocaml_version);
+  out "    \"ocaml_version\": \"%s\",\n" (Json.escape Sys.ocaml_version);
   out "    \"recommended_jobs\": %d\n" (Seqdiv_util.Pool.recommended_jobs ());
   out "  },\n";
   out "  \"stages\": [\n";
   let stages = List.rev !stages in
   List.iteri
     (fun i (label, seconds) ->
-      out "    { \"label\": \"%s\", \"seconds\": %.6f }%s\n" (json_escape label)
+      out "    { \"label\": \"%s\", \"seconds\": %.6f }%s\n" (Json.escape label)
         seconds
         (if i = List.length stages - 1 then "" else ","))
     stages;
@@ -963,7 +948,7 @@ let write_json path opts engine maps =
   let ms = List.rev !measurements in
   List.iteri
     (fun i (label, value) ->
-      out "    { \"label\": \"%s\", \"value\": %.6f }%s\n" (json_escape label)
+      out "    { \"label\": \"%s\", \"value\": %.6f }%s\n" (Json.escape label)
         value
         (if i = List.length ms - 1 then "" else ","))
     ms;
@@ -975,7 +960,7 @@ let write_json path opts engine maps =
       out
         "    { \"detector\": \"%s\", \"capable\": %d, \"weak\": %d, \"blind\": \
          %d, \"failed\": %d, \"capable_fraction\": %.6f }%s\n"
-        (json_escape s.Experiment.detector)
+        (Json.escape s.Experiment.detector)
         s.Experiment.capable s.Experiment.weak s.Experiment.blind
         s.Experiment.failed s.Experiment.capable_fraction
         (if i = List.length summaries - 1 then "" else ","))

@@ -569,20 +569,6 @@ let write_incident_log path results =
            (Hashtbl.find merged session));
   close_out oc
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path opts ~results ~stats ~health ~wall ~events ~symbols =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -606,7 +592,7 @@ let write_json path opts ~results ~stats ~health ~wall ~events ~symbols =
   out "    \"seed\": %d\n" opts.seed;
   out "  },\n";
   out "  \"machine\": {\n";
-  out "    \"hostname\": \"%s\",\n" (json_escape (Unix.gethostname ()));
+  out "    \"hostname\": \"%s\",\n" (Json.escape (Unix.gethostname ()));
   out "    \"cores\": %d\n" (Pool.recommended_jobs ());
   out "  },\n";
   let rejections = List.fold_left (fun a r -> a + r.cr_rejections) 0 results in

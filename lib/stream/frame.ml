@@ -501,216 +501,10 @@ let decode_binary_response c =
   | 'E' -> finish c (Error_msg (read_string c "message length"))
   | ch -> cursor_fail "Frame: unknown response tag %C" ch
 
-(* --- json values -------------------------------------------------------- *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let rec print_json b = function
-  | J_null -> Buffer.add_string b "null"
-  | J_bool v -> Buffer.add_string b (if v then "true" else "false")
-  | J_int v -> Buffer.add_string b (string_of_int v)
-  | J_float v -> Buffer.add_string b (Printf.sprintf "%.17g" v)
-  | J_string s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (json_escape s);
-      Buffer.add_char b '"'
-  | J_list items ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char b ',';
-          print_json b item)
-        items;
-      Buffer.add_char b ']'
-  | J_obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          Buffer.add_string b (json_escape k);
-          Buffer.add_string b "\":";
-          print_json b v)
-        fields;
-      Buffer.add_char b '}'
-
-(* A recursive-descent parser over one line.  Minimal but total: every
-   malformed shape lands in Parse_error with a position. *)
-let parse_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail fmt = Parse_error.fail ("Frame: ndjson: " ^^ fmt) in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match line.[!pos] with ' ' | '\t' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect ch =
-    match peek () with
-    | Some c when c = ch -> advance ()
-    | Some c -> fail "expected %C at %d, found %C" ch !pos c
-    | None -> fail "expected %C at %d, found end of line" ch !pos
-  in
-  let literal word value =
-    let k = String.length word in
-    if !pos + k <= n && String.sub line !pos k = word then begin
-      pos := !pos + k;
-      value
-    end
-    else fail "bad literal at %d" !pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char b '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char b '/'; go ()
-          | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub line !pos 4 in
-              pos := !pos + 4;
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 256 -> Buffer.add_char b (Char.chr code)
-              | Some code -> fail "unsupported \\u%04x escape" code
-              | None -> fail "bad \\u escape %S" hex);
-              go ()
-          | Some c -> fail "bad escape \\%C" c
-          | None -> fail "unterminated string")
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match line.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      advance ()
-    done;
-    let s = String.sub line start (!pos - start) in
-    match int_of_string_opt s with
-    | Some v -> J_int v
-    | None -> (
-        match float_of_string_opt s with
-        | Some v -> J_float v
-        | None -> fail "bad number %S at %d" s start)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}' at %d" !pos
-          in
-          J_obj (fields [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          J_list []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']' at %d" !pos
-          in
-          J_list (items [])
-        end
-    | Some '"' -> J_string (parse_string ())
-    | Some 't' -> literal "true" (J_bool true)
-    | Some 'f' -> literal "false" (J_bool false)
-    | Some 'n' -> literal "null" J_null
-    | Some ('0' .. '9' | '-') -> parse_number ()
-    | Some c -> fail "unexpected %C at %d" c !pos
-    | None -> fail "empty value"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing bytes at %d" !pos;
-  v
-
 (* Field accessors over a decoded object. *)
 
 let obj_fields name = function
-  | J_obj fields -> fields
+  | Json.Obj fields -> fields
   | _ -> Parse_error.fail "Frame: ndjson: %s is not an object" name
 
 let field fields k =
@@ -720,22 +514,22 @@ let field fields k =
 
 let int_field fields k =
   match field fields k with
-  | J_int v -> v
+  | Json.Int v -> v
   | _ -> Parse_error.fail "Frame: ndjson: field %S is not an integer" k
 
 let str_field fields k =
   match field fields k with
-  | J_string v -> v
+  | Json.String v -> v
   | _ -> Parse_error.fail "Frame: ndjson: field %S is not a string" k
 
 let list_field fields k =
   match field fields k with
-  | J_list v -> v
+  | Json.List v -> v
   | _ -> Parse_error.fail "Frame: ndjson: field %S is not a list" k
 
 let bool_field fields k =
   match field fields k with
-  | J_bool v -> v
+  | Json.Bool v -> v
   | _ -> Parse_error.fail "Frame: ndjson: field %S is not a boolean" k
 
 let nonneg_field fields k =
@@ -755,144 +549,144 @@ let bits_field fields k =
 
 let json_of_event = function
   | Data { session; symbols } ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "data");
-          ("session", J_int session);
-          ("symbols", J_list (Array.to_list (Array.map (fun s -> J_int s) symbols)));
+          ("type", Json.String "data");
+          ("session", Json.Int session);
+          ("symbols", Json.List (Array.to_list (Array.map (fun s -> Json.Int s) symbols)));
         ]
   | End_of_session { session } ->
-      J_obj [ ("type", J_string "end"); ("session", J_int session) ]
+      Json.Obj [ ("type", Json.String "end"); ("session", Json.Int session) ]
 
 let json_of_request = function
   | Batch { id; events } ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "batch");
-          ("id", J_int id);
-          ("events", J_list (List.map json_of_event events));
+          ("type", Json.String "batch");
+          ("id", Json.Int id);
+          ("events", Json.List (List.map json_of_event events));
         ]
-  | Stats_request -> J_obj [ ("type", J_string "stats") ]
-  | Health_request -> J_obj [ ("type", J_string "health") ]
-  | Drain_request -> J_obj [ ("type", J_string "drain") ]
-  | Quit -> J_obj [ ("type", J_string "quit") ]
+  | Stats_request -> Json.Obj [ ("type", Json.String "stats") ]
+  | Health_request -> Json.Obj [ ("type", Json.String "health") ]
+  | Drain_request -> Json.Obj [ ("type", Json.String "drain") ]
+  | Quit -> Json.Obj [ ("type", Json.String "quit") ]
 
 let json_of_incident_event = function
   | Opened { session; position } ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "opened");
-          ("session", J_int session);
-          ("position", J_int position);
+          ("type", Json.String "opened");
+          ("session", Json.Int session);
+          ("position", Json.Int position);
         ]
   | Closed { session; incident = i } ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "closed");
-          ("session", J_int session);
-          ("first_start", J_int i.first_start);
-          ("last_start", J_int i.last_start);
-          ("cover_from", J_int i.cover_from);
-          ("cover_to", J_int i.cover_to);
-          ("alarms", J_int i.alarms);
+          ("type", Json.String "closed");
+          ("session", Json.Int session);
+          ("first_start", Json.Int i.first_start);
+          ("last_start", Json.Int i.last_start);
+          ("cover_from", Json.Int i.cover_from);
+          ("cover_to", Json.Int i.cover_to);
+          ("alarms", Json.Int i.alarms);
           (* bits are authoritative (lossless); the float field rides
              along for human readers *)
           ( "peak_score_bits",
-            J_string (Printf.sprintf "%016Lx" (Int64.bits_of_float i.peak_score))
+            Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float i.peak_score))
           );
-          ("peak_score", J_float i.peak_score);
+          ("peak_score", Json.Float i.peak_score);
         ]
 
 let json_of_shard_stats s =
-  J_obj
+  Json.Obj
     [
-      ("shard", J_int s.shard);
-      ("sessions_resident", J_int s.sessions_resident);
-      ("events", J_int s.events);
-      ("symbols", J_int s.symbols);
-      ("batches", J_int s.batches);
-      ("rejected", J_int s.rejected);
-      ("queue_depth", J_int s.queue_depth);
-      ("bytes_resident", J_int s.bytes_resident);
-      ("busy_ns", J_int s.busy_ns);
-      ("p50_batch_ns", J_int s.p50_batch_ns);
-      ("p99_batch_ns", J_int s.p99_batch_ns);
-      ("restarts", J_int s.restarts);
-      ("degraded", J_bool s.degraded);
-      ("retry_after_ms", J_int s.retry_after_ms);
-      ("windows", J_int s.windows);
-      ("alarms", J_int s.alarms);
+      ("shard", Json.Int s.shard);
+      ("sessions_resident", Json.Int s.sessions_resident);
+      ("events", Json.Int s.events);
+      ("symbols", Json.Int s.symbols);
+      ("batches", Json.Int s.batches);
+      ("rejected", Json.Int s.rejected);
+      ("queue_depth", Json.Int s.queue_depth);
+      ("bytes_resident", Json.Int s.bytes_resident);
+      ("busy_ns", Json.Int s.busy_ns);
+      ("p50_batch_ns", Json.Int s.p50_batch_ns);
+      ("p99_batch_ns", Json.Int s.p99_batch_ns);
+      ("restarts", Json.Int s.restarts);
+      ("degraded", Json.Bool s.degraded);
+      ("retry_after_ms", Json.Int s.retry_after_ms);
+      ("windows", Json.Int s.windows);
+      ("alarms", Json.Int s.alarms);
       (* bits are authoritative (lossless); the float field rides
          along for human readers *)
       ( "threshold_bits",
-        J_string (Printf.sprintf "%016Lx" (Int64.bits_of_float s.threshold)) );
-      ("threshold", J_float s.threshold);
+        Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float s.threshold)) );
+      ("threshold", Json.Float s.threshold);
     ]
 
 let json_of_shard_health h =
-  J_obj
+  Json.Obj
     [
-      ("shard", J_int h.h_shard);
-      ("alive", J_bool h.h_alive);
-      ("degraded", J_bool h.h_degraded);
-      ("restarts", J_int h.h_restarts);
-      ("queue_depth", J_int h.h_queue_depth);
-      ("retry_after_ms", J_int h.h_retry_after_ms);
-      ("windows", J_int h.h_windows);
-      ("alarms", J_int h.h_alarms);
+      ("shard", Json.Int h.h_shard);
+      ("alive", Json.Bool h.h_alive);
+      ("degraded", Json.Bool h.h_degraded);
+      ("restarts", Json.Int h.h_restarts);
+      ("queue_depth", Json.Int h.h_queue_depth);
+      ("retry_after_ms", Json.Int h.h_retry_after_ms);
+      ("windows", Json.Int h.h_windows);
+      ("alarms", Json.Int h.h_alarms);
       ( "threshold_bits",
-        J_string (Printf.sprintf "%016Lx" (Int64.bits_of_float h.h_threshold)) );
-      ("threshold", J_float h.h_threshold);
+        Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float h.h_threshold)) );
+      ("threshold", Json.Float h.h_threshold);
     ]
 
 let json_of_response = function
   | Ack { id; shard; events; incidents } ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "ack");
-          ("id", J_int id);
-          ("shard", J_int shard);
-          ("events", J_int events);
-          ("incidents", J_list (List.map json_of_incident_event incidents));
+          ("type", Json.String "ack");
+          ("id", Json.Int id);
+          ("shard", Json.Int shard);
+          ("events", Json.Int events);
+          ("incidents", Json.List (List.map json_of_incident_event incidents));
         ]
   | Rejected { id; retry_after_ms } ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "rejected");
-          ("id", J_int id);
-          ("retry_after_ms", J_int retry_after_ms);
+          ("type", Json.String "rejected");
+          ("id", Json.Int id);
+          ("retry_after_ms", Json.Int retry_after_ms);
         ]
   | Failed { id; shard; events; reason } ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "failed");
-          ("id", J_int id);
-          ("shard", J_int shard);
-          ("events", J_int events);
-          ("reason", J_string reason);
+          ("type", Json.String "failed");
+          ("id", Json.Int id);
+          ("shard", Json.Int shard);
+          ("events", Json.Int events);
+          ("reason", Json.String reason);
         ]
   | Stats shards ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "stats");
-          ("shards", J_list (List.map json_of_shard_stats shards));
+          ("type", Json.String "stats");
+          ("shards", Json.List (List.map json_of_shard_stats shards));
         ]
   | Health { shards_health; connections; evictions; draining } ->
-      J_obj
+      Json.Obj
         [
-          ("type", J_string "health");
-          ("connections", J_int connections);
-          ("evictions", J_int evictions);
-          ("draining", J_bool draining);
-          ("shards", J_list (List.map json_of_shard_health shards_health));
+          ("type", Json.String "health");
+          ("connections", Json.Int connections);
+          ("evictions", Json.Int evictions);
+          ("draining", Json.Bool draining);
+          ("shards", Json.List (List.map json_of_shard_health shards_health));
         ]
   | Drained { batches } ->
-      J_obj [ ("type", J_string "drained"); ("batches", J_int batches) ]
+      Json.Obj [ ("type", Json.String "drained"); ("batches", Json.Int batches) ]
   | Error_msg message ->
-      J_obj [ ("type", J_string "error"); ("message", J_string message) ]
+      Json.Obj [ ("type", Json.String "error"); ("message", Json.String message) ]
 
 let add_json_line out v =
-  print_json out v;
+  Json.print out v;
   Buffer.add_char out '\n'
 
 (* --- ndjson decoding ---------------------------------------------------- *)
@@ -904,8 +698,8 @@ let event_of_json v =
       let symbols =
         list_field fields "symbols"
         |> List.map (function
-             | J_int s when s >= 0 && s <= 254 -> s
-             | J_int s ->
+             | Json.Int s when s >= 0 && s <= 254 -> s
+             | Json.Int s ->
                  Parse_error.fail "Frame: ndjson: symbol %d out of range" s
              | _ -> Parse_error.fail "Frame: ndjson: symbol is not an integer")
         |> Array.of_list
@@ -1139,7 +933,7 @@ let next_frame r ~binary ~ndjson =
   match sniff r with
   | None -> None
   | Some Binary -> Option.map binary (next_binary_payload r)
-  | Some Ndjson -> Option.map (fun l -> ndjson (parse_json l)) (next_line r)
+  | Some Ndjson -> Option.map (fun l -> ndjson (Json.parse l)) (next_line r)
 
 let next_request r =
   next_frame r ~binary:decode_binary_request ~ndjson:request_of_json
