@@ -18,7 +18,11 @@ cell <seed> <detector> <window> <anomaly-size> <tag> <response-bits> <digest>
     v}
     One cell per line; [tag] is [blind]/[weak]/[capable],
     [response-bits] the IEEE-754 bits of the max response in hex, and
-    [digest] a 64-bit FNV-1a over the rest of the line.  Version 1
+    [digest] a 64-bit FNV-1a over the rest of the line.  The header,
+    the digests, recovery and both flush paths belong to
+    {!Seqdiv_util.Line_log}, the durable log shared with
+    {!Seqdiv_core.Shard_journal}; this module is the cell codec and the
+    in-memory index.  Version 1
     files are line-identical and are accepted on load (the header
     upgrades on the first rewrite).  {!Outcome.Failed} cells are
     {e never} journalled — a resume retries them.
@@ -29,7 +33,8 @@ cell <seed> <detector> <window> <anomaly-size> <tag> <response-bits> <digest>
     bytes per flush, however many cells the journal already holds,
     which is what keeps a long multi-resume session cheap.  A flush
     falls back to a whole-file {e rewrite} (to [path ^ ".tmp"], then an
-    atomic rename) when appending would be wrong or wasteful: the first
+    atomic rename and an fsync of the directory) when appending would
+    be wrong or wasteful: the first
     flush of a fresh journal (writes the header), a resumed file with a
     torn tail or missing final newline (appending would splice into a
     partial line), a previous-version header, or — {e compaction} —

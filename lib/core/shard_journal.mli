@@ -10,10 +10,12 @@
     recently applied batches from the retained batch records instead of
     applying them twice.
 
-    The format follows {!Seqdiv_core.Journal} (PR 5): versioned magic
+    The journal is a record codec over {!Seqdiv_util.Line_log}, the
+    durable log it shares with {!Seqdiv_core.Journal}: versioned magic
     line, context line pinning the run configuration, FNV-1a-digested
-    record lines, an append+fsync fast path, threshold compaction, and
-    torn-tail recovery.  One addition: records are grouped into
+    record lines, an append+fsync fast path, a rewrite that fsyncs the
+    file and its directory, threshold compaction, and torn-tail
+    recovery.  One addition: records are grouped into
     {e commit groups}.  A {!commit} appends the records buffered since
     the last commit followed by a commit marker carrying the group
     size; recovery applies only complete, committed groups and drops an

@@ -55,17 +55,12 @@ for t in ./_build/default/test/test_*.exe; do
 done
 
 # Golden fixtures must match what the current tree renders: regenerate
-# into a scratch directory and diff.  An intentional change is promoted
-# with scripts/promote-golden.sh and reviewed as part of the commit.
+# into a scratch directory with the promote script (which owns the list
+# of golden test executables) and diff.  An intentional change is
+# promoted with scripts/promote-golden.sh and reviewed as part of the
+# commit.
 mkdir -p "$tmp/golden"
-SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR="$tmp/golden" \
-  ./_build/default/test/test_golden.exe > /dev/null
-SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR="$tmp/golden" \
-  ./_build/default/test/test_lint_golden.exe > /dev/null
-SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR="$tmp/golden" \
-  ./_build/default/test/test_serve_chaos.exe > /dev/null
-SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR="$tmp/golden" \
-  ./_build/default/test/test_adaptive_golden.exe > /dev/null
+./scripts/promote-golden.sh "$tmp/golden" > /dev/null
 diff -ru test/golden "$tmp/golden"
 echo "golden fixtures: OK"
 
