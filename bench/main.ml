@@ -896,78 +896,83 @@ let run_micro suite maps deploy trie =
 (* --- machine-readable report (--json) ---------------------------------- *)
 
 let write_json path opts engine maps =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"options\": {\n";
-  out "    \"train_len\": %d,\n" opts.train_len;
-  out "    \"background_len\": %d,\n" opts.background_len;
-  out "    \"deploy_len\": %d,\n" opts.deploy_len;
-  out "    \"jobs\": %d\n" opts.jobs;
-  out "  },\n";
-  out "  \"machine\": {\n";
-  out "    \"hostname\": \"%s\",\n" (Json.escape (Unix.gethostname ()));
-  out "    \"os_type\": \"%s\",\n" (Json.escape Sys.os_type);
-  out "    \"word_size\": %d,\n" Sys.word_size;
-  out "    \"ocaml_version\": \"%s\",\n" (Json.escape Sys.ocaml_version);
-  out "    \"recommended_jobs\": %d\n" (Seqdiv_util.Pool.recommended_jobs ());
-  out "  },\n";
-  out "  \"stages\": [\n";
-  let stages = List.rev !stages in
-  List.iteri
-    (fun i (label, seconds) ->
-      out "    { \"label\": \"%s\", \"seconds\": %.6f }%s\n" (Json.escape label)
-        seconds
-        (if i = List.length stages - 1 then "" else ","))
-    stages;
-  out "  ],\n";
+  let labelled key pairs =
+    Json.List
+      (List.rev_map
+         (fun (label, v) ->
+           Json.Obj [ ("label", Json.String label); (key, Json.Float v) ])
+         pairs)
+  in
   (* No engine runs in streaming mode: an all-zero stats block would
      read as a measured result, so the report carries [null] instead. *)
-  (match engine with
-  | None -> out "  \"engine\": null,\n"
-  | Some engine ->
-      let stats = Engine.stats engine in
-      out "  \"engine\": {\n";
-      out "    \"train_executed\": %d,\n" stats.Engine.train_executed;
-      out "    \"train_cached\": %d,\n" stats.Engine.train_cached;
-      out "    \"score_tasks\": %d,\n" stats.Engine.score_tasks;
-      out "    \"train_seconds\": %.6f,\n" stats.Engine.train_seconds;
-      out "    \"score_seconds\": %.6f,\n" stats.Engine.score_seconds;
-      out "    \"tries_built\": %d,\n" stats.Engine.tries_built;
-      out "    \"trie_hits\": %d,\n" stats.Engine.trie_hits;
-      out "    \"trie_nodes\": %d,\n" stats.Engine.trie_nodes;
-      out "    \"faults_injected\": %d,\n" stats.Engine.faults_injected;
-      out "    \"retries\": %d,\n" stats.Engine.retries;
-      out "    \"cells_failed\": %d,\n" stats.Engine.cells_failed;
-      out "    \"cells_timed_out\": %d,\n" stats.Engine.cells_timed_out;
-      out "    \"cells_resumed\": %d,\n" stats.Engine.cells_resumed;
-      out "    \"automata_built\": %d,\n" stats.Engine.automata_built;
-      out "    \"automata_hits\": %d\n" stats.Engine.automata_hits;
-      out "  },\n");
-  out "  \"measurements\": [\n";
-  let ms = List.rev !measurements in
-  List.iteri
-    (fun i (label, value) ->
-      out "    { \"label\": \"%s\", \"value\": %.6f }%s\n" (Json.escape label)
-        value
-        (if i = List.length ms - 1 then "" else ","))
-    ms;
-  out "  ],\n";
-  out "  \"maps\": [\n";
-  let summaries = List.map Experiment.summary maps in
-  List.iteri
-    (fun i (s : Experiment.summary) ->
-      out
-        "    { \"detector\": \"%s\", \"capable\": %d, \"weak\": %d, \"blind\": \
-         %d, \"failed\": %d, \"capable_fraction\": %.6f }%s\n"
-        (Json.escape s.Experiment.detector)
-        s.Experiment.capable s.Experiment.weak s.Experiment.blind
-        s.Experiment.failed s.Experiment.capable_fraction
-        (if i = List.length summaries - 1 then "" else ","))
-    summaries;
-  out "  ]\n";
-  out "}\n";
-  close_out oc;
+  let engine =
+    match engine with
+    | None -> Json.Null
+    | Some engine ->
+        let s = Engine.stats engine in
+        Json.Obj
+          [
+            ("train_executed", Json.Int s.Engine.train_executed);
+            ("train_cached", Json.Int s.Engine.train_cached);
+            ("score_tasks", Json.Int s.Engine.score_tasks);
+            ("train_seconds", Json.Float s.Engine.train_seconds);
+            ("score_seconds", Json.Float s.Engine.score_seconds);
+            ("tries_built", Json.Int s.Engine.tries_built);
+            ("trie_hits", Json.Int s.Engine.trie_hits);
+            ("trie_nodes", Json.Int s.Engine.trie_nodes);
+            ("faults_injected", Json.Int s.Engine.faults_injected);
+            ("retries", Json.Int s.Engine.retries);
+            ("cells_failed", Json.Int s.Engine.cells_failed);
+            ("cells_timed_out", Json.Int s.Engine.cells_timed_out);
+            ("cells_resumed", Json.Int s.Engine.cells_resumed);
+            ("automata_built", Json.Int s.Engine.automata_built);
+            ("automata_hits", Json.Int s.Engine.automata_hits);
+          ]
+  in
+  let map_summary (s : Experiment.summary) =
+    Json.Obj
+      [
+        ("detector", Json.String s.Experiment.detector);
+        ("capable", Json.Int s.Experiment.capable);
+        ("weak", Json.Int s.Experiment.weak);
+        ("blind", Json.Int s.Experiment.blind);
+        ("failed", Json.Int s.Experiment.failed);
+        ("capable_fraction", Json.Float s.Experiment.capable_fraction);
+      ]
+  in
+  let report =
+    Json.Obj
+      [
+        ( "options",
+          Json.Obj
+            [
+              ("train_len", Json.Int opts.train_len);
+              ("background_len", Json.Int opts.background_len);
+              ("deploy_len", Json.Int opts.deploy_len);
+              ("jobs", Json.Int opts.jobs);
+            ] );
+        ( "machine",
+          Json.Obj
+            [
+              ("hostname", Json.String (Unix.gethostname ()));
+              ("os_type", Json.String Sys.os_type);
+              ("word_size", Json.Int Sys.word_size);
+              ("ocaml_version", Json.String Sys.ocaml_version);
+              ( "recommended_jobs",
+                Json.Int (Seqdiv_util.Pool.recommended_jobs ()) );
+            ] );
+        ("stages", labelled "seconds" !stages);
+        ("engine", engine);
+        ("measurements", labelled "value" !measurements);
+        ( "maps",
+          Json.List (List.map (fun m -> map_summary (Experiment.summary m)) maps)
+        );
+      ]
+  in
+  let b = Buffer.create 4096 in
+  Json.print b report;
+  Buffer.add_char b '\n';
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b);
   Printf.printf "wrote %s\n" path
 
 let () =

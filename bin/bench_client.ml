@@ -2,8 +2,8 @@
    serve`.  Builds Session_workload corpora, drives them over the
    socket as interleaved framed batches (a bounded in-flight window per
    connection, honouring backpressure rejections), collects the
-   per-session incident log, samples the server's per-shard stats, and
-   writes a machine-readable JSON report.
+   per-session incident log, samples the server's health (one stats row
+   per shard), and writes a machine-readable JSON report.
 
    Correctness features double as test hooks: --reconnect survives a
    SIGKILLed server by reconnecting and resending unacknowledged
@@ -495,24 +495,19 @@ let drive_connection opts (conn_index, batches) =
     cr_backoff = backoff;
   }
 
-(* --- control connection: stats, health and quit -------------------------- *)
+(* --- control connection: health and quit -------------------------------- *)
 
-let fetch_stats opts =
-  let link = link_connect opts.address ~budget_s:15.0 opts.encoding in
-  send_request link Frame.Stats_request;
-  let stats =
-    match recv_response link with
-    | Some (Frame.Stats shards) -> shards
-    | Some _ | None ->
-        raise (Protocol_failure "no stats response from server")
-  in
+let request_health link =
   send_request link Frame.Health_request;
-  let health =
-    match recv_response link with
-    | Some (Frame.Health h) -> h
-    | Some _ | None ->
-        raise (Protocol_failure "no health response from server")
-  in
+  match recv_response link with
+  | Some (Frame.Health h) -> h
+  | Some _ | None -> raise (Protocol_failure "no health response from server")
+
+(* The end-of-run probe: one Health_request, then (with --quit) an
+   orderly shutdown. *)
+let fetch_health opts =
+  let link = link_connect opts.address ~budget_s:15.0 opts.encoding in
+  let health = request_health link in
   if opts.quit then send_request link Frame.Quit;
   (* Wait for the orderly shutdown (EOF) so scripts can rely on the
      server being gone when serve-bench exits. *)
@@ -521,20 +516,14 @@ let fetch_stats opts =
       ()
     done;
   (try Unix.close link.fd with Unix.Unix_error _ -> ());
-  (stats, health)
+  health
 
 (* Standalone probe for `seqdiv serve-health`: one Health_request,
    optionally followed by a drain handshake (Drain_request, then wait
    for Drained once every shard queue has gone idle). *)
 let probe_health ~address ~encoding ~drain =
   let link = link_connect address ~budget_s:15.0 encoding in
-  send_request link Frame.Health_request;
-  let health =
-    match recv_response link with
-    | Some (Frame.Health h) -> h
-    | Some _ | None ->
-        raise (Protocol_failure "no health response from server")
-  in
+  let health = request_health link in
   let drained =
     if not drain then None
     else begin
@@ -569,118 +558,99 @@ let write_incident_log path results =
            (Hashtbl.find merged session));
   close_out oc
 
-let write_json path opts ~results ~stats ~health ~wall ~events ~symbols =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"benchmark\": \"serve-bench\",\n";
-  out "  \"options\": {\n";
-  out "    \"sessions\": %d,\n" opts.sessions;
-  out "    \"session_length\": %d,\n" opts.session_length;
-  out "    \"rounds\": %d,\n" opts.rounds;
-  out "    \"connections\": %d,\n" opts.connections;
-  out "    \"chunk\": %d,\n" opts.chunk;
-  out "    \"batch_events\": %d,\n" opts.batch_events;
-  out "    \"inflight\": %d,\n" opts.inflight;
-  out "    \"encoding\": \"%s\",\n"
-    (match opts.encoding with Frame.Binary -> "binary" | Frame.Ndjson -> "ndjson");
-  (match opts.target_shard with
-  | None -> out "    \"target_shard\": null,\n"
-  | Some (k, n) -> out "    \"target_shard\": \"%d/%d\",\n" k n);
-  out "    \"hold_open\": %b,\n" opts.hold_open;
-  out "    \"stall_ms\": %d,\n" opts.stall_ms;
-  out "    \"seed\": %d\n" opts.seed;
-  out "  },\n";
-  out "  \"machine\": {\n";
-  out "    \"hostname\": \"%s\",\n" (Json.escape (Unix.gethostname ()));
-  out "    \"cores\": %d\n" (Pool.recommended_jobs ());
-  out "  },\n";
-  let rejections = List.fold_left (fun a r -> a + r.cr_rejections) 0 results in
-  let failures = List.fold_left (fun a r -> a + r.cr_failures) 0 results in
-  let reconnects = List.fold_left (fun a r -> a + r.cr_reconnects) 0 results in
-  out "  \"aggregate\": {\n";
-  out "    \"events\": %d,\n" events;
-  out "    \"symbols\": %d,\n" symbols;
-  out "    \"wall_seconds\": %.6f,\n" wall;
-  out "    \"events_per_sec\": %.1f,\n" (float_of_int events /. wall);
-  out "    \"symbols_per_sec\": %.1f,\n" (float_of_int symbols /. wall);
-  out "    \"rejections\": %d,\n" rejections;
-  out "    \"failed_batches\": %d,\n" failures;
-  out "    \"reconnects\": %d\n" reconnects;
-  out "  },\n";
-  let bo_count = List.fold_left (fun a r -> a + r.cr_backoff.bo_count) 0 results
-  and bo_total =
-    List.fold_left (fun a r -> a +. r.cr_backoff.bo_total_ms) 0.0 results
-  in
-  let bo_recent =
+(* The report is one JSON object on one line; its "health" member is
+   the server's own Health frame as the ndjson codec renders it. *)
+let write_json path opts ~results ~health ~wall ~events ~symbols =
+  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
+  let backoff_recent =
     List.concat_map (fun r -> List.rev r.cr_backoff.bo_recent) results
+    |> List.map (fun e ->
+           Json.Obj
+             [
+               ("kind", Json.String e.bo_kind);
+               ("batch", Json.Int e.bo_batch);
+               ("attempt", Json.Int e.bo_attempt);
+               ("delay_ms", Json.Float e.bo_delay_ms);
+             ])
   in
-  out "  \"backoff\": {\n";
-  out "    \"count\": %d,\n" bo_count;
-  out "    \"total_ms\": %.3f,\n" bo_total;
-  out "    \"recent\": [\n";
-  List.iteri
-    (fun i e ->
-      out
-        "      { \"kind\": \"%s\", \"batch\": %d, \"attempt\": %d, \
-         \"delay_ms\": %.3f }%s\n"
-        e.bo_kind e.bo_batch e.bo_attempt e.bo_delay_ms
-        (if i = List.length bo_recent - 1 then "" else ","))
-    bo_recent;
-  out "    ]\n";
-  out "  },\n";
-  out "  \"health\": {\n";
-  out "    \"connections\": %d,\n" health.Frame.connections;
-  out "    \"evictions\": %d,\n" health.Frame.evictions;
-  out "    \"draining\": %b,\n" health.Frame.draining;
-  out "    \"shards\": [\n";
-  List.iteri
-    (fun i (h : Frame.shard_health) ->
-      out
-        "      { \"shard\": %d, \"alive\": %b, \"degraded\": %b, \
-         \"restarts\": %d, \"queue_depth\": %d, \"retry_after_ms\": %d }%s\n"
-        h.Frame.h_shard h.Frame.h_alive h.Frame.h_degraded h.Frame.h_restarts
-        h.Frame.h_queue_depth h.Frame.h_retry_after_ms
-        (if i = List.length health.Frame.shards_health - 1 then "" else ","))
-    health.Frame.shards_health;
-  out "    ]\n";
-  out "  },\n";
   (* Capacity: per-shard service rate from the server's own busy-time
      accounting (events / seconds actually spent applying batches),
      summed.  Unlike the wall-clock aggregate it is not limited by the
      client or by core count, so it is the number the shard-scaling
      acceptance gate reads on single-core machines; the isolated
      per-shard phase runs in scripts/serve_bench.sh cross-check it. *)
-  let busy_sec s = float_of_int s.Frame.busy_ns /. 1e9 in
   let capacity =
     List.fold_left
-      (fun acc s ->
+      (fun acc (s : Frame.shard_stats) ->
+        let busy_sec = float_of_int s.Frame.busy_ns /. 1e9 in
         if s.Frame.busy_ns = 0 then acc
-        else acc +. (float_of_int s.Frame.events /. busy_sec s))
-      0.0 stats
+        else acc +. (float_of_int s.Frame.events /. busy_sec))
+      0.0 health.Frame.shards
   in
-  out "  \"capacity\": {\n";
-  out "    \"events_per_busy_sec\": %.1f\n" capacity;
-  out "  },\n";
-  out "  \"shards\": [\n";
-  List.iteri
-    (fun i (s : Frame.shard_stats) ->
-      out
-        "    { \"shard\": %d, \"sessions_resident\": %d, \"events\": %d, \
-         \"symbols\": %d, \"batches\": %d, \"rejected\": %d, \
-         \"queue_depth\": %d, \"bytes_resident\": %d, \"busy_ns\": %d, \
-         \"p50_batch_ns\": %d, \"p99_batch_ns\": %d, \"restarts\": %d, \
-         \"degraded\": %b, \"retry_after_ms\": %d }%s\n"
-        s.Frame.shard s.Frame.sessions_resident s.Frame.events s.Frame.symbols
-        s.Frame.batches s.Frame.rejected s.Frame.queue_depth
-        s.Frame.bytes_resident s.Frame.busy_ns s.Frame.p50_batch_ns
-        s.Frame.p99_batch_ns s.Frame.restarts s.Frame.degraded
-        s.Frame.retry_after_ms
-        (if i = List.length stats - 1 then "" else ","))
-    stats;
-  out "  ]\n";
-  out "}\n";
-  close_out oc;
+  let report =
+    Json.Obj
+      [
+        ("benchmark", Json.String "serve-bench");
+        ( "options",
+          Json.Obj
+            [
+              ("sessions", Json.Int opts.sessions);
+              ("session_length", Json.Int opts.session_length);
+              ("rounds", Json.Int opts.rounds);
+              ("connections", Json.Int opts.connections);
+              ("chunk", Json.Int opts.chunk);
+              ("batch_events", Json.Int opts.batch_events);
+              ("inflight", Json.Int opts.inflight);
+              ( "encoding",
+                Json.String
+                  (match opts.encoding with
+                  | Frame.Binary -> "binary"
+                  | Frame.Ndjson -> "ndjson") );
+              ( "target_shard",
+                match opts.target_shard with
+                | None -> Json.Null
+                | Some (k, n) -> Json.String (Printf.sprintf "%d/%d" k n) );
+              ("hold_open", Json.Bool opts.hold_open);
+              ("stall_ms", Json.Int opts.stall_ms);
+              ("seed", Json.Int opts.seed);
+            ] );
+        ( "machine",
+          Json.Obj
+            [
+              ("hostname", Json.String (Unix.gethostname ()));
+              ("cores", Json.Int (Pool.recommended_jobs ()));
+            ] );
+        ( "aggregate",
+          Json.Obj
+            [
+              ("events", Json.Int events);
+              ("symbols", Json.Int symbols);
+              ("wall_seconds", Json.Float wall);
+              ("events_per_sec", Json.Float (float_of_int events /. wall));
+              ("symbols_per_sec", Json.Float (float_of_int symbols /. wall));
+              ("rejections", Json.Int (sum (fun r -> r.cr_rejections)));
+              ("failed_batches", Json.Int (sum (fun r -> r.cr_failures)));
+              ("reconnects", Json.Int (sum (fun r -> r.cr_reconnects)));
+            ] );
+        ( "backoff",
+          Json.Obj
+            [
+              ("count", Json.Int (sum (fun r -> r.cr_backoff.bo_count)));
+              ( "total_ms",
+                Json.Float
+                  (List.fold_left
+                     (fun a r -> a +. r.cr_backoff.bo_total_ms)
+                     0.0 results) );
+              ("recent", Json.List backoff_recent);
+            ] );
+        ("capacity", Json.Obj [ ("events_per_busy_sec", Json.Float capacity) ]);
+        ("health", Frame.json_of_response (Frame.Health health));
+      ]
+  in
+  let b = Buffer.create 4096 in
+  Json.print b report;
+  Buffer.add_char b '\n';
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b);
   Printf.printf "wrote %s\n" path
 
 (* --- entry point -------------------------------------------------------- *)
@@ -708,7 +678,7 @@ let run opts =
   let wall = Stdlib.max (finished -. started) 1e-9 in
   let events = List.fold_left (fun a r -> a + r.cr_events) 0 results in
   let symbols = List.fold_left (fun a r -> a + r.cr_symbols) 0 results in
-  let stats, health = fetch_stats opts in
+  let health = fetch_health opts in
   Option.iter (fun path -> write_incident_log path results) opts.incident_log;
   Printf.printf
     "drove %d events (%d symbols) over %d connection(s) in %.3f s: %.0f \
@@ -728,18 +698,18 @@ let run opts =
         (if s.Frame.rejected > 0 then
            Printf.sprintf " (%d rejections)" s.Frame.rejected
          else ""))
-    stats;
+    health.Frame.shards;
   List.iter
-    (fun (h : Frame.shard_health) ->
-      if h.Frame.h_degraded || h.Frame.h_restarts > 0 then
-        Printf.printf "shard %d: %s, %d restart(s)\n" h.Frame.h_shard
-          (if h.Frame.h_degraded then "DEGRADED" else "recovered")
-          h.Frame.h_restarts)
-    health.Frame.shards_health;
+    (fun (s : Frame.shard_stats) ->
+      if s.Frame.degraded || s.Frame.restarts > 0 then
+        Printf.printf "shard %d: %s, %d restart(s)\n" s.Frame.shard
+          (if s.Frame.degraded then "DEGRADED" else "recovered")
+          s.Frame.restarts)
+    health.Frame.shards;
   if health.Frame.evictions > 0 then
     Printf.printf "server evicted %d slow client connection(s)\n"
       health.Frame.evictions;
   Option.iter
     (fun path ->
-      write_json path opts ~results ~stats ~health ~wall ~events ~symbols)
+      write_json path opts ~results ~health ~wall ~events ~symbols)
     opts.json

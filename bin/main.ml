@@ -564,6 +564,17 @@ let ablation_cmd =
     (Cmd.info "ablation" ~doc:"Run the A1-A4 ablation studies.")
     Term.(const run $ params_t $ engine_t $ which_t)
 
+(* --- input files -------------------------------------------------------- *)
+
+(* A malformed trace or model is the user's input error, not a crash:
+   print "seqdiv: FILE: msg" and exit 1. *)
+let load_or_exit load file =
+  match load file with
+  | v -> v
+  | exception Parse_error.Error msg ->
+      Printf.eprintf "seqdiv: %s: %s\n" file msg;
+      exit 1
+
 (* --- model (compile / score saved models) ------------------------------- *)
 
 let model_cmd =
@@ -600,8 +611,11 @@ let model_cmd =
           exit 1
     in
     match sniff path with
-    | `Stide -> compile_with (module Stide) (Model_io.load_stide_file path)
-    | `Markov -> compile_with (module Markov) (Model_io.load_markov_file path)
+    | `Stide ->
+        compile_with (module Stide) (load_or_exit Model_io.load_stide_file path)
+    | `Markov ->
+        compile_with (module Markov)
+          (load_or_exit Model_io.load_markov_file path)
     | `Flat ->
         Printf.eprintf "%s is already a compiled flat model\n" path;
         exit 1
@@ -629,7 +643,7 @@ let model_cmd =
   in
   let run_score verbose model_file trace_file =
     setup_logging verbose;
-    let trace = Trace_io.of_file trace_file in
+    let trace = load_or_exit Trace_io.of_file trace_file in
     let score_text (type m) (module D : Detector.S with type model = m)
         (m : m) =
       (* Text model: the detector's own descent over its model — the
@@ -638,15 +652,18 @@ let model_cmd =
     in
     match sniff model_file with
     | `Flat ->
-        let flat = Model_io.load_flat_file model_file in
+        let flat = load_or_exit Model_io.load_flat_file model_file in
         let window = flat.Model_io.flat_window in
         print_items
           (Detector.compiled_score_range flat.Model_io.flat_scorer
              ~detector:flat.Model_io.flat_detector trace ~lo:0
              ~hi:(Trace.length trace - window))
-    | `Stide -> score_text (module Stide) (Model_io.load_stide_file model_file)
+    | `Stide ->
+        score_text (module Stide)
+          (load_or_exit Model_io.load_stide_file model_file)
     | `Markov ->
-        score_text (module Markov) (Model_io.load_markov_file model_file)
+        score_text (module Markov)
+          (load_or_exit Model_io.load_markov_file model_file)
     | `Unknown ->
         Printf.eprintf "%s: not a recognised seqdiv model file\n" model_file;
         exit 1
@@ -695,8 +712,8 @@ let detect_cmd =
   let run verbose (module D : Detector.S) window train_file test_file threshold
       gap save_model =
     setup_logging verbose;
-    let training = Trace_io.of_file train_file in
-    let test = Trace_io.of_file test_file in
+    let training = load_or_exit Trace_io.of_file train_file in
+    let test = load_or_exit Trace_io.of_file test_file in
     let trained = Trained.train (module D) ~window training in
     let threshold =
       match threshold with
@@ -815,8 +832,8 @@ let compare_cmd =
   let run verbose (module A : Detector.S) (module B : Detector.S) window
       train_file test_file =
     setup_logging verbose;
-    let training = Trace_io.of_file train_file in
-    let test = Trace_io.of_file test_file in
+    let training = load_or_exit Trace_io.of_file train_file in
+    let test = load_or_exit Trace_io.of_file test_file in
     let a = Trained.train (module A) ~window training in
     let b = Trained.train (module B) ~window training in
     let ra = Trained.score a test and rb = Trained.score b test in
@@ -887,8 +904,12 @@ let classify_cmd =
        per-process traces, then classify each monitored process.  The
        normal database is built per session so no window spans a process
        boundary. *)
-    let train_sessions, mapping = Syscall_trace.parse_file train_file in
-    let test_sessions, test_mapping = Syscall_trace.parse_file test_file in
+    let train_sessions, mapping =
+      load_or_exit Syscall_trace.parse_file train_file
+    in
+    let test_sessions, test_mapping =
+      load_or_exit Syscall_trace.parse_file test_file
+    in
     if Array.length test_mapping > Array.length mapping then
       Printf.printf
         "note: the monitored traces use %d distinct calls vs %d in training — \
@@ -982,15 +1003,14 @@ let address_of socket tcp =
       prerr_endline "seqdiv: give exactly one of --socket PATH or --tcp HOST:PORT";
       exit 2
 
-let load_flat_or_exit model_file =
-  match Model_io.load_flat_file model_file with
-  | flat -> flat
-  | exception Parse_error.Error msg ->
-      Printf.eprintf
-        "seqdiv: %s\n(serve needs a compiled flat model — produce one with \
-         `seqdiv model compile`)\n"
-        msg;
-      exit 1
+let load_flat_or_exit =
+  load_or_exit (fun file ->
+      try Model_io.load_flat_file file
+      with Parse_error.Error msg ->
+        Parse_error.fail
+          "%s\n(serve needs a compiled flat model — produce one with \
+           `seqdiv model compile`)"
+          msg)
 
 let serve_cmd =
   let run verbose model_file socket tcp shards queue_capacity retry_after_ms

@@ -245,13 +245,16 @@ let shard_retry_hint t sh =
   Mutex.unlock sh.stats_lock;
   retry_hint ~floor:t.cfg.retry_after_ms ~p50_ns ~queue_depth
 
+(* One shard's telemetry row.  The retry hint is the one a [Rejected]
+   touching this shard would carry now ({!shard_retry_hint}'s inputs);
+   the latency percentiles sort the recent-service ring. *)
 let sample t sh =
   let queue_depth = channel_length sh.queue in
   Mutex.lock sh.stats_lock;
   let n = sh.ring_len in
   let sorted = Array.sub sh.ring 0 n in
   Array.sort compare sorted;
-  let p50 = percentile sorted n 0.5 in
+  let degraded = sh.degraded <> None in
   let stats =
     {
       Frame.shard = sh.index;
@@ -263,12 +266,14 @@ let sample t sh =
       queue_depth;
       bytes_resident = sh.pub_bytes;
       busy_ns = sh.busy_ns;
-      p50_batch_ns = p50;
+      p50_batch_ns = percentile sorted n 0.5;
       p99_batch_ns = percentile sorted n 0.99;
       restarts = sh.restarts;
-      degraded = sh.degraded <> None;
+      alive = (not degraded) && sh.poison = None;
+      degraded;
       retry_after_ms =
-        retry_hint ~floor:t.cfg.retry_after_ms ~p50_ns:p50 ~queue_depth;
+        retry_hint ~floor:t.cfg.retry_after_ms ~p50_ns:sh.cached_p50_ns
+          ~queue_depth;
       windows = sh.pub_windows;
       alarms = sh.pub_alarms;
       threshold = sh.pub_threshold;
@@ -278,43 +283,6 @@ let sample t sh =
   stats
 
 let sample_all t = Array.to_list (Array.map (sample t) t.shard_tab)
-
-let sample_health t =
-  let shards_health =
-    Array.to_list
-      (Array.map
-         (fun sh ->
-           let h_queue_depth = channel_length sh.queue in
-           Mutex.lock sh.stats_lock;
-           let h_degraded = sh.degraded <> None in
-           let h_alive = (not h_degraded) && sh.poison = None in
-           let h_restarts = sh.restarts in
-           let p50_ns = sh.cached_p50_ns in
-           let h_windows = sh.pub_windows in
-           let h_alarms = sh.pub_alarms in
-           let h_threshold = sh.pub_threshold in
-           Mutex.unlock sh.stats_lock;
-           {
-             Frame.h_shard = sh.index;
-             h_alive;
-             h_degraded;
-             h_restarts;
-             h_queue_depth;
-             h_retry_after_ms =
-               retry_hint ~floor:t.cfg.retry_after_ms ~p50_ns
-                 ~queue_depth:h_queue_depth;
-             h_windows;
-             h_alarms;
-             h_threshold;
-           })
-         t.shard_tab)
-  in
-  {
-    Frame.shards_health;
-    connections = Atomic.get t.live_conns;
-    evictions = Atomic.get t.evictions;
-    draining = Atomic.get t.draining;
-  }
 
 (* --- admission (reader side) -------------------------------------------- *)
 
@@ -441,7 +409,14 @@ let reader_loop t conn =
                  push_response t conn (Frame.Stats (sample_all t));
                  drain ()
              | Some Frame.Health_request ->
-                 push_response t conn (Frame.Health (sample_health t));
+                 push_response t conn
+                   (Frame.Health
+                      {
+                        Frame.shards = sample_all t;
+                        connections = Atomic.get t.live_conns;
+                        evictions = Atomic.get t.evictions;
+                        draining = Atomic.get t.draining;
+                      });
                  drain ()
              | Some Frame.Drain_request ->
                  Atomic.set t.draining true;

@@ -33,6 +33,7 @@ type shard_stats = {
   p50_batch_ns : int;
   p99_batch_ns : int;
   restarts : int;
+  alive : bool;
   degraded : bool;
   retry_after_ms : int;
   windows : int;
@@ -40,20 +41,8 @@ type shard_stats = {
   threshold : float;
 }
 
-type shard_health = {
-  h_shard : int;
-  h_alive : bool;
-  h_degraded : bool;
-  h_restarts : int;
-  h_queue_depth : int;
-  h_retry_after_ms : int;
-  h_windows : int;
-  h_alarms : int;
-  h_threshold : float;
-}
-
 type health = {
-  shards_health : shard_health list;
+  shards : shard_stats list;
   connections : int;
   evictions : int;
   draining : bool;
@@ -212,22 +201,12 @@ let add_shard_stats b s =
   add_i64 b s.p50_batch_ns;
   add_i64 b s.p99_batch_ns;
   add_i64 b s.restarts;
+  add_i64 b (if s.alive then 1 else 0);
   add_i64 b (if s.degraded then 1 else 0);
   add_i64 b s.retry_after_ms;
   add_i64 b s.windows;
   add_i64 b s.alarms;
   Buffer.add_int64_le b (Int64.bits_of_float s.threshold)
-
-let add_shard_health b h =
-  add_i64 b h.h_shard;
-  add_i64 b (if h.h_alive then 1 else 0);
-  add_i64 b (if h.h_degraded then 1 else 0);
-  add_i64 b h.h_restarts;
-  add_i64 b h.h_queue_depth;
-  add_i64 b h.h_retry_after_ms;
-  add_i64 b h.h_windows;
-  add_i64 b h.h_alarms;
-  Buffer.add_int64_le b (Int64.bits_of_float h.h_threshold)
 
 let binary_of_response out = function
   | Ack { id; shard; events; incidents } ->
@@ -259,14 +238,14 @@ let binary_of_response out = function
       add_i64 b (List.length shards);
       List.iter (add_shard_stats b) shards;
       add_payload out b
-  | Health { shards_health; connections; evictions; draining } ->
+  | Health { shards; connections; evictions; draining } ->
       let b = Buffer.create 256 in
       Buffer.add_char b 'h';
       add_i64 b connections;
       add_i64 b evictions;
       add_i64 b (if draining then 1 else 0);
-      add_i64 b (List.length shards_health);
-      List.iter (add_shard_health b) shards_health;
+      add_i64 b (List.length shards);
+      List.iter (add_shard_stats b) shards;
       add_payload out b
   | Drained { batches } ->
       let b = Buffer.create 16 in
@@ -401,6 +380,9 @@ let read_float_bits c =
   c.pos <- c.pos + 8;
   Int64.float_of_bits bits
 
+(* A binary shard_stats row: 18 eight-byte fields. *)
+let shard_stats_bytes = 18 * 8
+
 let read_shard_stats c =
   let shard = read_i64 c in
   let sessions_resident = read_nonneg c "sessions_resident" in
@@ -414,6 +396,7 @@ let read_shard_stats c =
   let p50_batch_ns = read_nonneg c "p50_batch_ns" in
   let p99_batch_ns = read_nonneg c "p99_batch_ns" in
   let restarts = read_nonneg c "restarts" in
+  let alive = read_bool c "alive" in
   let degraded = read_bool c "degraded" in
   let retry_after_ms = read_nonneg c "retry_after_ms" in
   let windows = read_nonneg c "windows" in
@@ -432,33 +415,12 @@ let read_shard_stats c =
     p50_batch_ns;
     p99_batch_ns;
     restarts;
+    alive;
     degraded;
     retry_after_ms;
     windows;
     alarms;
     threshold;
-  }
-
-let read_shard_health c =
-  let h_shard = read_i64 c in
-  let h_alive = read_bool c "alive" in
-  let h_degraded = read_bool c "degraded" in
-  let h_restarts = read_nonneg c "restarts" in
-  let h_queue_depth = read_nonneg c "queue_depth" in
-  let h_retry_after_ms = read_nonneg c "retry_after_ms" in
-  let h_windows = read_nonneg c "windows" in
-  let h_alarms = read_nonneg c "alarms" in
-  let h_threshold = read_float_bits c in
-  {
-    h_shard;
-    h_alive;
-    h_degraded;
-    h_restarts;
-    h_queue_depth;
-    h_retry_after_ms;
-    h_windows;
-    h_alarms;
-    h_threshold;
   }
 
 let decode_binary_response c =
@@ -482,17 +444,17 @@ let decode_binary_response c =
       finish c
         (Failed { id; shard; events; reason = read_string c "reason length" })
   | 'T' ->
-      let n = read_count c "shard count" ~min_item_bytes:136 in
+      let n = read_count c "shard count" ~min_item_bytes:shard_stats_bytes in
       finish c (Stats (List.init n (fun _ -> read_shard_stats c)))
   | 'h' ->
       let connections = read_nonneg c "connections" in
       let evictions = read_nonneg c "evictions" in
       let draining = read_bool c "draining" in
-      let n = read_count c "shard count" ~min_item_bytes:72 in
+      let n = read_count c "shard count" ~min_item_bytes:shard_stats_bytes in
       finish c
         (Health
            {
-             shards_health = List.init n (fun _ -> read_shard_health c);
+             shards = List.init n (fun _ -> read_shard_stats c);
              connections;
              evictions;
              draining;
@@ -612,6 +574,7 @@ let json_of_shard_stats s =
       ("p50_batch_ns", Json.Int s.p50_batch_ns);
       ("p99_batch_ns", Json.Int s.p99_batch_ns);
       ("restarts", Json.Int s.restarts);
+      ("alive", Json.Bool s.alive);
       ("degraded", Json.Bool s.degraded);
       ("retry_after_ms", Json.Int s.retry_after_ms);
       ("windows", Json.Int s.windows);
@@ -621,22 +584,6 @@ let json_of_shard_stats s =
       ( "threshold_bits",
         Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float s.threshold)) );
       ("threshold", Json.Float s.threshold);
-    ]
-
-let json_of_shard_health h =
-  Json.Obj
-    [
-      ("shard", Json.Int h.h_shard);
-      ("alive", Json.Bool h.h_alive);
-      ("degraded", Json.Bool h.h_degraded);
-      ("restarts", Json.Int h.h_restarts);
-      ("queue_depth", Json.Int h.h_queue_depth);
-      ("retry_after_ms", Json.Int h.h_retry_after_ms);
-      ("windows", Json.Int h.h_windows);
-      ("alarms", Json.Int h.h_alarms);
-      ( "threshold_bits",
-        Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float h.h_threshold)) );
-      ("threshold", Json.Float h.h_threshold);
     ]
 
 let json_of_response = function
@@ -671,14 +618,14 @@ let json_of_response = function
           ("type", Json.String "stats");
           ("shards", Json.List (List.map json_of_shard_stats shards));
         ]
-  | Health { shards_health; connections; evictions; draining } ->
+  | Health { shards; connections; evictions; draining } ->
       Json.Obj
         [
           ("type", Json.String "health");
           ("connections", Json.Int connections);
           ("evictions", Json.Int evictions);
           ("draining", Json.Bool draining);
-          ("shards", Json.List (List.map json_of_shard_health shards_health));
+          ("shards", Json.List (List.map json_of_shard_stats shards));
         ]
   | Drained { batches } ->
       Json.Obj [ ("type", Json.String "drained"); ("batches", Json.Int batches) ]
@@ -762,25 +709,12 @@ let shard_stats_of_json v =
     p50_batch_ns = nonneg_field fields "p50_batch_ns";
     p99_batch_ns = nonneg_field fields "p99_batch_ns";
     restarts = nonneg_field fields "restarts";
+    alive = bool_field fields "alive";
     degraded = bool_field fields "degraded";
     retry_after_ms = nonneg_field fields "retry_after_ms";
     windows = nonneg_field fields "windows";
     alarms = nonneg_field fields "alarms";
     threshold = bits_field fields "threshold_bits";
-  }
-
-let shard_health_of_json v =
-  let fields = obj_fields "shard health" v in
-  {
-    h_shard = int_field fields "shard";
-    h_alive = bool_field fields "alive";
-    h_degraded = bool_field fields "degraded";
-    h_restarts = nonneg_field fields "restarts";
-    h_queue_depth = nonneg_field fields "queue_depth";
-    h_retry_after_ms = nonneg_field fields "retry_after_ms";
-    h_windows = nonneg_field fields "windows";
-    h_alarms = nonneg_field fields "alarms";
-    h_threshold = bits_field fields "threshold_bits";
   }
 
 let response_of_json v =
@@ -813,8 +747,7 @@ let response_of_json v =
   | "health" ->
       Health
         {
-          shards_health =
-            List.map shard_health_of_json (list_field fields "shards");
+          shards = List.map shard_stats_of_json (list_field fields "shards");
           connections = nonneg_field fields "connections";
           evictions = nonneg_field fields "evictions";
           draining = bool_field fields "draining";
@@ -965,11 +898,11 @@ let render_health h =
         (Printf.sprintf
            "shard %d: %s restarts=%d queue_depth=%d retry_after_ms=%d \
             windows=%d alarms=%d threshold=%h\n"
-           s.h_shard
-           (if s.h_degraded then "DEGRADED"
-            else if s.h_alive then "alive"
+           s.shard
+           (if s.degraded then "DEGRADED"
+            else if s.alive then "alive"
             else "dead")
-           s.h_restarts s.h_queue_depth s.h_retry_after_ms s.h_windows
-           s.h_alarms s.h_threshold))
-    h.shards_health;
+           s.restarts s.queue_depth s.retry_after_ms s.windows s.alarms
+           s.threshold))
+    h.shards;
   Buffer.contents b

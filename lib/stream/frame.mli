@@ -54,37 +54,33 @@ type shard_stats = {
   p50_batch_ns : int;  (** median recent sub-batch service time *)
   p99_batch_ns : int;  (** 99th-percentile recent service time *)
   restarts : int;  (** supervisor restarts of this shard's domain *)
+  alive : bool;
+      (** the shard domain is running; false while it is poisoned and
+          awaiting restart, and once it is degraded *)
   degraded : bool;  (** the shard took a fatal fault and serves [Failed] *)
-  retry_after_ms : int;  (** current adaptive backpressure hint *)
+  retry_after_ms : int;
+      (** the hint a [Rejected] touching this shard would carry at
+          sampling time *)
   windows : int;  (** completed windows judged (departed + resident) *)
-  alarms : int;  (** windows that alarmed *)
+  alarms : int;
+      (** windows that alarmed — the observed alarm rate is
+          [alarms /. windows] *)
   threshold : float;
       (** published alarm threshold: the configured constant, or the max
           over resident adaptive controllers (wire-encoded as exact
           bits, so stats roundtrip losslessly) *)
 }
-
-type shard_health = {
-  h_shard : int;
-  h_alive : bool;  (** the shard domain is running (or restartable) *)
-  h_degraded : bool;  (** fatal fault: batches answered [Failed] *)
-  h_restarts : int;
-  h_queue_depth : int;
-  h_retry_after_ms : int;
-  h_windows : int;  (** completed windows judged by the shard *)
-  h_alarms : int;  (** windows that alarmed — observed alarm rate is
-                       [h_alarms /. h_windows] *)
-  h_threshold : float;  (** published alarm threshold (exact bits on
-                            the wire) *)
-}
-(** One shard's row in a {!health} readiness report. *)
+(** One shard's telemetry row: the whole of a {!Stats} answer, and the
+    per-shard part of a {!health} report. *)
 
 type health = {
-  shards_health : shard_health list;
+  shards : shard_stats list;  (** one row per shard, in shard order *)
   connections : int;  (** live client connections *)
   evictions : int;  (** slow clients evicted since start *)
   draining : bool;  (** a drain handshake is in progress *)
 }
+(** A readiness report: the {!Stats} rows plus the server-wide
+    connection, eviction and drain facts. *)
 
 type request =
   | Batch of { id : int; events : event list }
@@ -145,6 +141,11 @@ val write_response : Buffer.t -> encoding -> response -> unit
 (** Append one complete frame.
     @raise Invalid_argument on values the format cannot carry (symbol
     codes outside 0..254, an empty batch, negative ids). *)
+
+val json_of_response : response -> Json.t
+(** The ndjson body of a response frame, for embedding in reports:
+    {!write_response} with [Ndjson] prints exactly this value on one
+    line. *)
 
 (** {1 Incremental decoding} *)
 

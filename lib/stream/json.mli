@@ -1,6 +1,6 @@
 (** The one JSON value type, printer and parser.  {!Frame}'s ndjson
-    codec is built on it, and the bench reports escape their strings
-    with {!escape}. *)
+    codec is built on it, and the bench reports are values of {!t}
+    printed by {!print}. *)
 
 type t =
   | Null
@@ -11,15 +11,12 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** The body of a JSON string literal, without the quotes: a double
+val print : Buffer.t -> t -> unit
+(** Append the value on one line, with no whitespace; floats print as
+    [%.17g], so they read back bit-exactly.  In a string, a double
     quote or a backslash gets a backslash before it, newline and tab
     become the two-character escapes n and t, other control bytes a
     four-hex-digit u escape; every other byte passes through. *)
-
-val print : Buffer.t -> t -> unit
-(** Append the value on one line, with no whitespace; floats print as
-    [%.17g], so they read back bit-exactly. *)
 
 val parse : string -> t
 (** Parse one value spanning the whole string.  Minimal but total:

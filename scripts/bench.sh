@@ -9,10 +9,11 @@
 # command on the same machine at the seed commit (string-keyed hash
 # databases, one training scan per window width).
 #
-# The script fails when the jobs=1 train+score speedup falls below the
-# 3x acceptance floor, or when any detector's capable/weak/blind map
-# summary differs from the baseline (the optimisation must not change
-# a single cell).
+# The script fails when any detector's capable/weak/blind map summary
+# differs from the baseline (the optimisation must not change a single
+# cell), when any map has failed cells, or when the jobs=1 train+score
+# speedup falls below the 3x acceptance floor.  The reports are read
+# with python3's json module.
 #
 # Usage: scripts/bench.sh [output.json]
 #        scripts/bench.sh --streaming [output.json]
@@ -32,21 +33,19 @@ if [ "${1:-}" = "--streaming" ]; then
   echo "== streaming throughput (trie descent vs compiled automaton) =="
   dune exec --no-build bench/main.exe -- --streaming --json "$OUT"
 
-  speedup() {
-    sed -n "s/.*\"label\": \"streaming_speedup_w$1\", \"value\": \([0-9.]*\).*/\1/p" "$OUT"
-  }
-  for w in 8 12; do
-    S=$(speedup "$w")
-    if [ -z "$S" ]; then
-      echo "FAIL: no streaming_speedup_w$w measurement in $OUT" >&2
-      exit 1
-    fi
-    echo "window $w: automaton ${S}x trie-descent throughput"
-    if [ "$(awk -v s="$S" 'BEGIN { print (s >= 10.0) ? 1 : 0 }')" -ne 1 ]; then
-      echo "FAIL: window-$w speedup ${S}x below the 10x acceptance floor" >&2
-      exit 1
-    fi
-  done
+  python3 - "$OUT" <<'EOF'
+import json, sys
+
+report = json.load(open(sys.argv[1]))
+measured = {m["label"]: m["value"] for m in report["measurements"]}
+for w in (8, 12):
+    s = measured.get(f"streaming_speedup_w{w}")
+    if s is None:
+        sys.exit(f"FAIL: no streaming_speedup_w{w} measurement in {sys.argv[1]}")
+    print(f"window {w}: automaton {s:.2f}x trie-descent throughput")
+    if s < 10.0:
+        sys.exit(f"FAIL: window-{w} speedup {s:.2f}x below the 10x acceptance floor")
+EOF
   echo "wrote $OUT"
   exit 0
 fi
@@ -123,63 +122,60 @@ echo "== full grid, jobs=4 =="
 dune exec --no-build bench/main.exe -- \
   --grid-only --trace --jobs 4 --json "$TMP/after_j4.json"
 
-# --- comparison ---------------------------------------------------------
+# --- comparison and merged report -------------------------------------
 
-# Sum of engine train_seconds + score_seconds in a report.
-train_score() {
-  sed -n 's/.*"train_seconds": \([0-9.]*\).*/\1/p; s/.*"score_seconds": \([0-9.]*\).*/\1/p' "$1" \
-    | awk '{ s += $1 } END { printf "%.6f", s }'
+python3 - "$TMP" "$OUT" <<'EOF'
+import json, os, sys
+
+tmp, out = sys.argv[1:]
+runs = {
+    f"{phase}_j{j}": json.load(open(os.path.join(tmp, f"{phase}_j{j}.json")))
+    for phase in ("before", "after")
+    for j in (1, 4)
 }
 
-# The per-detector summary lines, for cell-identity checking.
-map_lines() { grep '"detector"' "$1"; }
+def train_score(report):
+    return report["engine"]["train_seconds"] + report["engine"]["score_seconds"]
 
-B1=$(train_score "$TMP/before_j1.json")
-B4=$(train_score "$TMP/before_j4.json")
-A1=$(train_score "$TMP/after_j1.json")
-A4=$(train_score "$TMP/after_j4.json")
+speedup = {}
+for j in (1, 4):
+    b, a = train_score(runs[f"before_j{j}"]), train_score(runs[f"after_j{j}"])
+    speedup[j] = round(b / a, 2)
+    print(f"train+score jobs={j}: {b:.6f}s -> {a:.6f}s ({speedup[j]:.2f}x)")
 
-S1=$(awk -v b="$B1" -v a="$A1" 'BEGIN { printf "%.2f", b / a }')
-S4=$(awk -v b="$B4" -v a="$A4" 'BEGIN { printf "%.2f", b / a }')
+# Cell identity: every baseline summary field, detector by detector.
+fields = ("detector", "capable", "weak", "blind", "capable_fraction")
 
-echo "train+score jobs=1: ${B1}s -> ${A1}s (${S1}x)"
-echo "train+score jobs=4: ${B4}s -> ${A4}s (${S4}x)"
+def summary(m):
+    return [round(float(m[f]), 6) if f == "capable_fraction" else m[f] for f in fields]
 
-for j in 1 4; do
-  map_lines "$TMP/before_j$j.json" > "$TMP/maps_before_j$j"
-  map_lines "$TMP/after_j$j.json" > "$TMP/maps_after_j$j"
-  if ! cmp -s "$TMP/maps_before_j$j" "$TMP/maps_after_j$j"; then
-    echo "FAIL: jobs=$j map summaries differ from baseline" >&2
-    diff "$TMP/maps_before_j$j" "$TMP/maps_after_j$j" >&2 || true
-    exit 1
-  fi
-done
-echo "map summaries identical to baseline at both jobs counts"
+for j in (1, 4):
+    before = [summary(m) for m in runs[f"before_j{j}"]["maps"]]
+    after = [summary(m) for m in runs[f"after_j{j}"]["maps"]]
+    if before != after:
+        print(f"FAIL: jobs={j} map summaries differ from baseline", file=sys.stderr)
+        print(f"  baseline: {before}\n  current:  {after}", file=sys.stderr)
+        sys.exit(1)
+    failed = [(m["detector"], m["failed"]) for m in runs[f"after_j{j}"]["maps"] if m["failed"] != 0]
+    if failed:
+        sys.exit(f"FAIL: jobs={j} maps have failed cells: {failed}")
+print("map summaries identical to baseline at both jobs counts")
 
-if [ "$(awk -v s="$S1" 'BEGIN { print (s >= 3.0) ? 1 : 0 }')" -ne 1 ]; then
-  echo "FAIL: jobs=1 speedup ${S1}x below the 3x acceptance floor" >&2
-  exit 1
-fi
+if speedup[1] < 3.0:
+    sys.exit(f"FAIL: jobs=1 speedup {speedup[1]:.2f}x below the 3x acceptance floor")
 
-# --- merged report ------------------------------------------------------
-
-{
-  printf '{\n'
-  printf '  "benchmark": "full-grid train+score (bench/main.exe --grid-only)",\n'
-  printf '  "speedup_train_score": { "jobs1": %s, "jobs4": %s },\n' "$S1" "$S4"
-  printf '  "before": {\n'
-  printf '    "jobs1":\n'
-  cat "$TMP/before_j1.json"
-  printf '    ,\n    "jobs4":\n'
-  cat "$TMP/before_j4.json"
-  printf '  },\n'
-  printf '  "after": {\n'
-  printf '    "jobs1":\n'
-  cat "$TMP/after_j1.json"
-  printf '    ,\n    "jobs4":\n'
-  cat "$TMP/after_j4.json"
-  printf '  }\n'
-  printf '}\n'
-} > "$OUT"
+with open(out, "w") as f:
+    json.dump(
+        {
+            "benchmark": "full-grid train+score (bench/main.exe --grid-only)",
+            "speedup_train_score": {"jobs1": speedup[1], "jobs4": speedup[4]},
+            "before": {"jobs1": runs["before_j1"], "jobs4": runs["before_j4"]},
+            "after": {"jobs1": runs["after_j1"], "jobs4": runs["after_j4"]},
+        },
+        f,
+        indent=2,
+    )
+    f.write("\n")
+EOF
 
 echo "wrote $OUT"

@@ -64,6 +64,13 @@ mkdir -p "$tmp/golden"
 diff -ru test/golden "$tmp/golden"
 echo "golden fixtures: OK"
 
+# The grid benchmark's report reader and gates: cell identity against
+# the committed baselines, no failed cells, and the 3x train+score
+# floor.
+./scripts/bench.sh "$tmp/bench3.json" > "$tmp/bench3.out" 2>&1 \
+  || { cat "$tmp/bench3.out"; exit 1; }
+echo "grid benchmark: OK"
+
 bin=./_build/default/bin/main.exe
 
 # Crash-safety smoke test: kill a journalled run mid-flight, resume it
@@ -140,10 +147,29 @@ mkdir -p "$tmp/serve-ref"
 "$bin" serve --model "$tmp/stide.flat" --socket "$serve_sock" --shards 2 \
   --journal-dir "$tmp/serve-ref" > /dev/null 2>&1 &
 serve_pid=$!
+# Health renders the same report from either encoding.  The pause lets
+# the idle server retire the first probe's connection, so both probes
+# count one live connection.
+"$bin" serve-health --socket "$serve_sock" > "$tmp/health-binary.txt"
+sleep 0.2
+"$bin" serve-health --socket "$serve_sock" --ndjson > "$tmp/health-ndjson.txt"
+diff "$tmp/health-binary.txt" "$tmp/health-ndjson.txt"
 # shellcheck disable=SC2086  # bench_args is a word list by design
 "$bin" serve-bench --socket "$serve_sock" $bench_args \
-  --incident-log "$tmp/serve-ref.log" --quit > /dev/null
+  --incident-log "$tmp/serve-ref.log" --json "$tmp/serve-ref.json" \
+  --quit > /dev/null
 wait "$serve_pid"
+# The report's shard rows account for every symbol the client sent:
+# 48 sessions x 40 rounds x 1000 symbols.
+python3 - "$tmp/serve-ref.json" <<'EOF'
+import json, sys
+
+r = json.load(open(sys.argv[1]))
+rows = sum(s["symbols"] for s in r["health"]["shards"])
+sent = r["aggregate"]["symbols"]
+if not rows == sent == 1920000:
+    sys.exit(f"serve-bench report: shard rows hold {rows} symbols, aggregate {sent}, expected 1920000")
+EOF
 
 # Interrupted: SIGKILL the server once shard 0 has committed state,
 # restart it with --resume, and let the client ride through.

@@ -16,7 +16,8 @@
 # shards (CI runs on one) the concurrent wall rate cannot show that
 # scaling — the per-phase isolation numbers are the portable measure,
 # and the concurrent runs are still recorded alongside, honestly
-# labelled with the machine's core count.
+# labelled with the machine's core count.  The serve-bench reports are
+# read with python3's json module.
 #
 # Usage: scripts/serve_bench.sh [output.json]
 set -eu
@@ -45,7 +46,15 @@ phase_args="--sessions 48 --session-length 1000 \
 
 # events/sec of one serve-bench JSON report.
 events_per_sec() {
-  sed -n 's/.*"events_per_sec": \([0-9.]*\).*/\1/p' "$1"
+  python3 -c 'import json, sys
+print(json.load(open(sys.argv[1]))["aggregate"]["events_per_sec"])' "$1"
+}
+
+# One per-shard field summed over the health rows of a report.
+shard_sum() {
+  python3 -c 'import json, sys
+print(sum(s[sys.argv[2]] for s in json.load(open(sys.argv[1]))["health"]["shards"]))' \
+    "$1" "$2"
 }
 
 start_server() {
@@ -100,14 +109,12 @@ for shards in 1 2 4; do
   "$bin" serve-bench --socket "$sock" $phase_args --rounds 1 --hold-open \
     --json "$TMP/residency-$shards.json" --quit > /dev/null
   wait "$server_pid"
-  resident=$(sed -n 's/.*"sessions_resident": \([0-9]*\).*/\1/p' \
-    "$TMP/residency-$shards.json" | awk '{ s += $1 } END { print s }')
+  resident=$(shard_sum "$TMP/residency-$shards.json" sessions_resident)
   if [ "$resident" -ne 48 ]; then
     echo "FAIL: residency probe holds $resident sessions, expected 48" >&2
     exit 1
   fi
-  bytes=$(sed -n 's/.*"bytes_resident": \([0-9]*\).*/\1/p' \
-    "$TMP/residency-$shards.json" | awk '{ s += $1 } END { print s }')
+  bytes=$(shard_sum "$TMP/residency-$shards.json" bytes_resident)
   echo "  resident-session memory: 48 sessions, $bytes bytes across shards"
 done
 
@@ -122,35 +129,35 @@ if [ "$(awk -v r="$RATIO" 'BEGIN { print (r >= 3.0) ? 1 : 0 }')" -ne 1 ]; then
   exit 1
 fi
 
-{
-  printf '{\n'
-  printf '  "benchmark": "serve shard scaling (seqdiv serve + serve-bench)",\n'
-  printf '  "methodology": "capacity = sum of isolated per-shard service rates (--target-shard phases); concurrent runs recorded alongside and bounded by machine cores",\n'
-  printf '  "capacity_events_per_sec": { "shards1": %s, "shards2": %s, "shards4": %s },\n' "$C1" "$C2" "$C4"
-  printf '  "capacity_scaling_4v1": %s,\n' "$RATIO"
-  printf '  "phases": {\n'
-  first=1
-  for shards in 1 2 4; do
-    [ "$first" -eq 1 ] || printf '    ,\n'
-    first=0
-    printf '    "shards%s": {\n' "$shards"
-    printf '      "isolated": [\n'
-    k=0
-    while [ "$k" -lt "$shards" ]; do
-      [ "$k" -eq 0 ] || printf '        ,\n'
-      cat "$TMP/phase-$shards-$k.json"
-      k=$((k + 1))
-    done
-    printf '      ],\n'
-    printf '      "concurrent":\n'
-    cat "$TMP/wall-$shards.json"
-    printf '      ,\n'
-    printf '      "residency":\n'
-    cat "$TMP/residency-$shards.json"
-    printf '    }\n'
-  done
-  printf '  }\n'
-  printf '}\n'
-} > "$OUT"
+python3 - "$TMP" "$OUT" "$C1" "$C2" "$C4" "$RATIO" <<'EOF'
+import json, os, sys
+
+tmp, out, c1, c2, c4, ratio = sys.argv[1:]
+
+def load(name):
+    return json.load(open(os.path.join(tmp, name + ".json")))
+
+phases = {
+    f"shards{n}": {
+        "isolated": [load(f"phase-{n}-{k}") for k in range(n)],
+        "concurrent": load(f"wall-{n}"),
+        "residency": load(f"residency-{n}"),
+    }
+    for n in (1, 2, 4)
+}
+with open(out, "w") as f:
+    json.dump(
+        {
+            "benchmark": "serve shard scaling (seqdiv serve + serve-bench)",
+            "methodology": "capacity = sum of isolated per-shard service rates (--target-shard phases); concurrent runs recorded alongside and bounded by machine cores",
+            "capacity_events_per_sec": {"shards1": float(c1), "shards2": float(c2), "shards4": float(c4)},
+            "capacity_scaling_4v1": float(ratio),
+            "phases": phases,
+        },
+        f,
+        indent=2,
+    )
+    f.write("\n")
+EOF
 
 echo "wrote $OUT"

@@ -51,13 +51,14 @@ let request_equal a b =
       true
   | _ -> false
 
-let shard_health_equal (a : Frame.shard_health) (b : Frame.shard_health) =
-  a.Frame.h_shard = b.Frame.h_shard
-  && a.Frame.h_alive = b.Frame.h_alive
-  && a.Frame.h_degraded = b.Frame.h_degraded
-  && a.Frame.h_restarts = b.Frame.h_restarts
-  && a.Frame.h_queue_depth = b.Frame.h_queue_depth
-  && a.Frame.h_retry_after_ms = b.Frame.h_retry_after_ms
+(* Structural equality, except the threshold compares as bits so a
+   signed zero must survive too. *)
+let shard_stats_equal (a : Frame.shard_stats) (b : Frame.shard_stats) =
+  { a with Frame.threshold = 0.0 } = { b with Frame.threshold = 0.0 }
+  && Int64.equal (bits a.Frame.threshold) (bits b.Frame.threshold)
+
+let rows_equal a b =
+  List.length a = List.length b && List.for_all2 shard_stats_equal a b
 
 let response_equal a b =
   match (a, b) with
@@ -72,14 +73,12 @@ let response_equal a b =
   | ( Frame.Failed { id = ia; shard = sa; events = ea; reason = ra },
       Frame.Failed { id = ib; shard = sb; events = eb; reason = rb } ) ->
       ia = ib && sa = sb && ea = eb && ra = rb
-  | Frame.Stats a, Frame.Stats b -> a = b
+  | Frame.Stats a, Frame.Stats b -> rows_equal a b
   | Frame.Health a, Frame.Health b ->
       a.Frame.connections = b.Frame.connections
       && a.Frame.evictions = b.Frame.evictions
       && a.Frame.draining = b.Frame.draining
-      && List.length a.Frame.shards_health = List.length b.Frame.shards_health
-      && List.for_all2 shard_health_equal a.Frame.shards_health
-           b.Frame.shards_health
+      && rows_equal a.Frame.shards b.Frame.shards
   | Frame.Drained { batches = a }, Frame.Drained { batches = b } -> a = b
   | Frame.Error_msg a, Frame.Error_msg b -> a = b
   | _ -> false
@@ -159,6 +158,28 @@ let sample_requests =
     Frame.Quit;
   ]
 
+let sample_row =
+  {
+    Frame.shard = 0;
+    sessions_resident = 12;
+    events = 1000;
+    symbols = 64000;
+    batches = 4;
+    rejected = 1;
+    queue_depth = 2;
+    bytes_resident = 4096;
+    busy_ns = 123456789;
+    p50_batch_ns = 440_000;
+    p99_batch_ns = 6_572_000;
+    restarts = 2;
+    alive = true;
+    degraded = false;
+    retry_after_ms = 11;
+    windows = 900;
+    alarms = 17;
+    threshold = 1.0 /. 3.0;
+  }
+
 let sample_responses =
   [
     Frame.Ack
@@ -180,53 +201,22 @@ let sample_responses =
         events = 3;
         reason = "Deadline.Exceeded(budget=1ms)";
       };
-    Frame.Stats
-      [
-        {
-          Frame.shard = 0;
-          sessions_resident = 12;
-          events = 1000;
-          symbols = 64000;
-          batches = 4;
-          rejected = 1;
-          queue_depth = 2;
-          bytes_resident = 4096;
-          busy_ns = 123456789;
-          p50_batch_ns = 440_000;
-          p99_batch_ns = 6_572_000;
-          restarts = 2;
-          degraded = false;
-          retry_after_ms = 11;
-          windows = 900;
-          alarms = 17;
-          threshold = 1.0 /. 3.0;
-        };
-      ];
+    Frame.Stats [ sample_row ];
     Frame.Health
       {
-        Frame.shards_health =
+        Frame.shards =
           [
+            { sample_row with Frame.queue_depth = 3; threshold = 2.75 };
             {
-              Frame.h_shard = 0;
-              h_alive = true;
-              h_degraded = false;
-              h_restarts = 1;
-              h_queue_depth = 3;
-              h_retry_after_ms = 12;
-              h_windows = 450;
-              h_alarms = 9;
-              h_threshold = 2.75;
-            };
-            {
-              Frame.h_shard = 1;
-              h_alive = false;
-              h_degraded = true;
-              h_restarts = 3;
-              h_queue_depth = 0;
-              h_retry_after_ms = 5;
-              h_windows = 0;
-              h_alarms = 0;
-              h_threshold = -0.0;
+              sample_row with
+              Frame.shard = 1;
+              alive = false;
+              degraded = true;
+              restarts = 3;
+              retry_after_ms = 5;
+              windows = 0;
+              alarms = 0;
+              threshold = -0.0;
             };
           ];
         connections = 4;
@@ -316,6 +306,25 @@ let test_malformed () =
       let r = Frame.reader () in
       Frame.feed_bytes r b ~pos:0 ~len:5;
       Frame.next_request r);
+  (* a telemetry frame whose row count claims more rows than its
+     payload holds; [at] is the count's offset in the frame *)
+  let inflated name response ~at =
+    expect_parse_error name (fun () ->
+        let buf = Buffer.create 256 in
+        Frame.write_response buf Frame.Binary response;
+        let b = Buffer.to_bytes buf in
+        Bytes.set_int64_le b at 2L;
+        let r = Frame.reader () in
+        Frame.feed_bytes r b ~pos:0 ~len:(Bytes.length b);
+        Frame.next_response r)
+  in
+  (* 5-byte header, tag; Health puts three fields before the count *)
+  inflated "stats rows past payload" (Frame.Stats [ sample_row ]) ~at:6;
+  inflated "health rows past payload"
+    (Frame.Health
+       { Frame.shards = [ sample_row ]; connections = 1; evictions = 0;
+         draining = false })
+    ~at:(6 + (3 * 8));
   (* symbol out of range in ndjson *)
   expect_parse_error "symbol 255" (fun () ->
       feed_string Frame.next_request

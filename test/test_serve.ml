@@ -285,15 +285,15 @@ let test_health_and_drain () =
   Alcotest.(check (list int)) "both shards answered" [ 0; 1 ]
     (List.sort compare !ack_shards);
   let h = health_of c in
-  Alcotest.(check int) "two shards" 2 (List.length h.Frame.shards_health);
+  Alcotest.(check int) "two shards" 2 (List.length h.Frame.shards);
   List.iter
-    (fun (sh : Frame.shard_health) ->
-      Alcotest.(check bool) "alive" true sh.Frame.h_alive;
-      Alcotest.(check bool) "not degraded" false sh.Frame.h_degraded;
-      Alcotest.(check int) "no restarts" 0 sh.Frame.h_restarts;
+    (fun (sh : Frame.shard_stats) ->
+      Alcotest.(check bool) "alive" true sh.Frame.alive;
+      Alcotest.(check bool) "not degraded" false sh.Frame.degraded;
+      Alcotest.(check int) "no restarts" 0 sh.Frame.restarts;
       Alcotest.(check bool) "hint at least the floor" true
-        (sh.Frame.h_retry_after_ms >= Serve.default_retry_after_ms))
-    h.Frame.shards_health;
+        (sh.Frame.retry_after_ms >= Serve.default_retry_after_ms))
+    h.Frame.shards;
   Alcotest.(check bool) "not draining" false h.Frame.draining;
   (* Drain: the response arrives once every queue is idle, and carries
      the applied batch count; new work is rejected afterwards. *)
@@ -350,11 +350,11 @@ let test_supervised_restart () =
         | _ -> Alcotest.fail "expected an ack"
       done;
       let h = health_of c in
-      (match h.Frame.shards_health with
+      (match h.Frame.shards with
       | [ sh ] ->
-          Alcotest.(check int) "three restarts" 3 sh.Frame.h_restarts;
-          Alcotest.(check bool) "alive" true sh.Frame.h_alive;
-          Alcotest.(check bool) "not degraded" false sh.Frame.h_degraded
+          Alcotest.(check int) "three restarts" 3 sh.Frame.restarts;
+          Alcotest.(check bool) "alive" true sh.Frame.alive;
+          Alcotest.(check bool) "not degraded" false sh.Frame.degraded
       | _ -> Alcotest.fail "expected one shard");
       close_client c;
       quit_server path server)
@@ -400,16 +400,16 @@ let test_degrade_isolates () =
   | _ -> Alcotest.fail "expected shard 1 to keep serving");
   let h = health_of c in
   List.iter
-    (fun (sh : Frame.shard_health) ->
-      if sh.Frame.h_shard = 0 then begin
-        Alcotest.(check bool) "shard 0 degraded" true sh.Frame.h_degraded;
-        Alcotest.(check bool) "shard 0 not alive" false sh.Frame.h_alive
+    (fun (sh : Frame.shard_stats) ->
+      if sh.Frame.shard = 0 then begin
+        Alcotest.(check bool) "shard 0 degraded" true sh.Frame.degraded;
+        Alcotest.(check bool) "shard 0 not alive" false sh.Frame.alive
       end
       else begin
-        Alcotest.(check bool) "shard 1 not degraded" false sh.Frame.h_degraded;
-        Alcotest.(check bool) "shard 1 alive" true sh.Frame.h_alive
+        Alcotest.(check bool) "shard 1 not degraded" false sh.Frame.degraded;
+        Alcotest.(check bool) "shard 1 alive" true sh.Frame.alive
       end)
-    h.Frame.shards_health;
+    h.Frame.shards;
   (* A later batch for the degraded shard fails at admission, with its
      event count, while the live slice of the same batch is acked. *)
   let id_mixed =
