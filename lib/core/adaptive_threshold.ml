@@ -111,31 +111,38 @@ let step t score =
    The sketch token keeps its own ':' separators, so parsing splits
    off the first five fields and rejoins the tail. *)
 
+module Ascii = Seqdiv_util.Ascii
+
+let add_to_buffer b t =
+  Buffer.add_string b "at1:";
+  Ascii.add_int b t.n_windows;
+  Buffer.add_char b ':';
+  Ascii.add_int b t.n_alarms;
+  Buffer.add_char b ':';
+  Ascii.add_int b t.n_adjustments;
+  Buffer.add_char b ':';
+  Ascii.add_float_bits b t.cur;
+  Buffer.add_char b ':';
+  Quantile.add_to_buffer b t.sk
+
+(* The header plus the sketch at about 24 bytes a tuple. *)
 let to_string t =
-  Printf.sprintf "at1:%d:%d:%d:%016Lx:%s" t.n_windows t.n_alarms
-    t.n_adjustments
-    (Int64.bits_of_float t.cur)
-    (Quantile.to_string t.sk)
+  let b = Buffer.create (160 + (24 * Quantile.tuples t.sk)) in
+  add_to_buffer b t;
+  Buffer.contents b
 
 let of_string cfg s =
   match String.split_on_char ':' s with
   | "at1" :: w_s :: a_s :: adj_s :: cur_s :: (_ :: _ as sketch_parts) -> (
       let sketch_s = String.concat ":" sketch_parts in
-      let nat x = match int_of_string_opt x with
-        | Some i when i >= 0 -> Some i
-        | _ -> None
-      in
-      let cur =
-        if String.length cur_s <> 16 then None
-        else
-          match Int64.of_string_opt ("0x" ^ cur_s) with
-          | Some b ->
-              let f = Int64.float_of_bits b in
-              if Float.is_nan f then None else Some f
-          | None -> None
-      in
-      match (nat w_s, nat a_s, nat adj_s, cur) with
-      | Some w, Some a, Some adj, Some cur when a <= w -> (
+      match
+        ( Ascii.parse_nat w_s,
+          Ascii.parse_nat a_s,
+          Ascii.parse_nat adj_s,
+          Ascii.parse_float_bits cur_s )
+      with
+      | Some w, Some a, Some adj, Some cur
+        when a <= w && not (Float.is_nan cur) -> (
           (* The sketch must agree with the supplied config: the same
              epsilon (bitwise — both sides compute it the same way) and
              exactly one observation per judged window. *)

@@ -93,10 +93,15 @@ val to_string : t -> string
     The config is {e not} embedded: it is pinned by the journal
     context line and re-supplied to {!of_string}. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the {!to_string} token to the buffer. *)
+
 val of_string : config -> string -> t option
 (** Parse a {!to_string} token back under [config]; [None] if the
     token is malformed or disagrees with [config] (a sketch with
-    another epsilon, or whose count is not the judged windows). *)
+    another epsilon, or whose count is not the judged windows).
+    Decoding is canonical: [of_string cfg s = Some t] implies
+    [to_string t = s]. *)
 
 val equal : t -> t -> bool
 (** Bit-level state equality (counters, threshold, sketch). *)

@@ -11,6 +11,7 @@
    live entries only — one line per key, newest record wins — so the
    file size stays bounded by the live cell count. *)
 
+module Ascii = Seqdiv_util.Ascii
 module Line_log = Seqdiv_util.Line_log
 
 let version = 2
@@ -55,9 +56,20 @@ let outcome_tag = function
 
 let body_of_entry e =
   check_field "detector name" e.detector;
-  Printf.sprintf "cell %d %s %d %d %s %016Lx" e.seed e.detector e.window
-    e.anomaly_size (outcome_tag e.outcome)
-    (Int64.bits_of_float (Outcome.max_response e.outcome))
+  let b = Buffer.create 64 in
+  Buffer.add_string b "cell ";
+  Ascii.add_int b e.seed;
+  Buffer.add_char b ' ';
+  Buffer.add_string b e.detector;
+  Buffer.add_char b ' ';
+  Ascii.add_int b e.window;
+  Buffer.add_char b ' ';
+  Ascii.add_int b e.anomaly_size;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (outcome_tag e.outcome);
+  Buffer.add_char b ' ';
+  Ascii.add_float_bits b (Outcome.max_response e.outcome);
+  Buffer.contents b
 
 let entry_of_body body =
   match String.split_on_char ' ' body with

@@ -281,30 +281,38 @@ let merge a b =
    roundtrip is bit-exact and the token contains no spaces (it rides
    inside space-delimited shard-journal session lines). *)
 
-let bits f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
+module Ascii = Seqdiv_util.Ascii
 
 let float_of_hex s =
-  if String.length s <> 16 then None
-  else
-    match Int64.of_string_opt ("0x" ^ s) with
-    | Some b ->
-        let f = Int64.float_of_bits b in
-        if Float.is_nan f then None else Some f
-    | None -> None
+  match Ascii.parse_float_bits s with
+  | Some f when not (Float.is_nan f) -> Some f
+  | Some _ | None -> None
 
-let int_of_dec s =
-  match int_of_string_opt s with Some i when i >= 0 -> Some i | _ -> None
-
-let to_string t =
-  let buf = Buffer.create (32 + (t.len * 24)) in
-  Buffer.add_string buf
-    (Printf.sprintf "gk1:%s:%d:%d:%d:" (bits t.eps) t.n t.since t.len);
+let add_to_buffer b t =
+  Buffer.add_string b "gk1:";
+  Ascii.add_float_bits b t.eps;
+  Buffer.add_char b ':';
+  Ascii.add_int b t.n;
+  Buffer.add_char b ':';
+  Ascii.add_int b t.since;
+  Buffer.add_char b ':';
+  Ascii.add_int b t.len;
+  Buffer.add_char b ':';
   for i = 0 to t.len - 1 do
-    if i > 0 then Buffer.add_char buf ',';
-    Buffer.add_string buf
-      (Printf.sprintf "%s.%d.%d" (bits t.vs.(i)) t.gs.(i) t.ds.(i))
-  done;
-  Buffer.contents buf
+    if i > 0 then Buffer.add_char b ',';
+    Ascii.add_float_bits b t.vs.(i);
+    Buffer.add_char b '.';
+    Ascii.add_int b t.gs.(i);
+    Buffer.add_char b '.';
+    Ascii.add_int b t.ds.(i)
+  done
+
+(* A tuple is 16 hex digits, two separators, a comma and two short
+   counts: 24 bytes covers it to three digits of g and Δ. *)
+let to_string t =
+  let b = Buffer.create (80 + (24 * t.len)) in
+  add_to_buffer b t;
+  Buffer.contents b
 
 let equal a b =
   Int64.bits_of_float a.eps = Int64.bits_of_float b.eps
@@ -324,8 +332,8 @@ let of_string s =
   match String.split_on_char ':' s with
   | [ "gk1"; eps_s; n_s; since_s; len_s; tuples_s ] -> (
       match
-        (float_of_hex eps_s, int_of_dec n_s, int_of_dec since_s,
-         int_of_dec len_s)
+        (float_of_hex eps_s, Ascii.parse_nat n_s, Ascii.parse_nat since_s,
+         Ascii.parse_nat len_s)
       with
       | Some eps, Some n, Some since, Some len
         when eps > 0.0 && eps < 1.0 && len <= n ->
@@ -347,7 +355,8 @@ let of_string s =
               (fun i part ->
                 match String.split_on_char '.' part with
                 | [ v_s; g_s; d_s ] -> (
-                    match (float_of_hex v_s, int_of_dec g_s, int_of_dec d_s)
+                    match
+                      (float_of_hex v_s, Ascii.parse_nat g_s, Ascii.parse_nat d_s)
                     with
                     | Some v, Some g, Some d when g >= 1 ->
                         (* Values must be non-decreasing (ties may

@@ -68,8 +68,14 @@ val to_string : t -> string
     IEEE-754 bit patterns, so [of_string] rebuilds bit-identical
     state. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the {!to_string} token to the buffer — how a caller embeds
+    the sketch in a larger record without copying it twice. *)
+
 val of_string : string -> t option
-(** Parse {!to_string} output; [None] on any malformed input. *)
+(** Parse {!to_string} output; [None] on any malformed input.  Decoding
+    is canonical: it accepts exactly the tokens {!to_string} writes, so
+    [of_string s = Some t] implies [to_string t = s]. *)
 
 val equal : t -> t -> bool
 (** Structural equality of the full sketch state (bit-level on

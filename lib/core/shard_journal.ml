@@ -7,6 +7,7 @@
    rationale. *)
 
 open Seqdiv_stream
+module Ascii = Seqdiv_util.Ascii
 module Line_log = Seqdiv_util.Line_log
 
 let magic = "seqdiv-shard-journal v1"
@@ -40,32 +41,45 @@ type t = {
   batch_history : int;
   live : (int, session_state) Hashtbl.t;
   batch_q : batch_record Queue.t; (* oldest first, bounded *)
+  body_buf : Buffer.t; (* where each body is encoded *)
   mutable pending : string list; (* record bodies, newest first *)
   mutable pending_count : int;
   mutable recovered_sessions : int;
   mutable recovered_batches : int;
 }
 
-(* --- record codec ------------------------------------------------------- *)
+(* --- record codec -------------------------------------------------------
 
-let incident_token (i : Frame.incident) =
-  Printf.sprintf "%d:%d:%d:%d:%d:%016Lx" i.Frame.first_start i.Frame.last_start
-    i.Frame.cover_from i.Frame.cover_to i.Frame.alarms
-    (Int64.bits_of_float i.Frame.peak_score)
+   Bodies are written field by field into a buffer with Ascii and read
+   back with its canonical parsers, so a body decodes only if it is
+   exactly what the encoder writes for the decoded record. *)
+
+let add_incident b (i : Frame.incident) =
+  Ascii.add_int b i.Frame.first_start;
+  Buffer.add_char b ':';
+  Ascii.add_int b i.Frame.last_start;
+  Buffer.add_char b ':';
+  Ascii.add_int b i.Frame.cover_from;
+  Buffer.add_char b ':';
+  Ascii.add_int b i.Frame.cover_to;
+  Buffer.add_char b ':';
+  Ascii.add_int b i.Frame.alarms;
+  Buffer.add_char b ':';
+  Ascii.add_float_bits b i.Frame.peak_score
 
 let incident_of_token tok =
   match String.split_on_char ':' tok with
   | [ first; last; cfrom; cto; alarms; bits ] -> (
       match
-        ( int_of_string_opt first,
-          int_of_string_opt last,
-          int_of_string_opt cfrom,
-          int_of_string_opt cto,
-          int_of_string_opt alarms,
-          Int64.of_string_opt ("0x" ^ bits) )
+        ( Ascii.parse_nat first,
+          Ascii.parse_nat last,
+          Ascii.parse_nat cfrom,
+          Ascii.parse_nat cto,
+          Ascii.parse_nat alarms,
+          Ascii.parse_float_bits bits )
       with
       | Some first_start, Some last_start, Some cover_from, Some cover_to,
-        Some alarms, Some bits ->
+        Some alarms, Some peak_score ->
           Some
             {
               Frame.first_start;
@@ -73,7 +87,7 @@ let incident_of_token tok =
               cover_from;
               cover_to;
               alarms;
-              peak_score = Int64.float_of_bits bits;
+              peak_score;
             }
       | _ -> None)
   | _ -> None
@@ -81,21 +95,38 @@ let incident_of_token tok =
 (* Static sessions keep the historical 5-field line; adaptive sessions
    append the controller token as a 6th field (it contains no spaces,
    so the space-split parse sees exactly one extra field). *)
-let session_body s =
-  let base =
-    Printf.sprintf "s %d %d %d %s" s.js_session s.js_consumed s.js_state
-      (match s.js_open with None -> "-" | Some i -> incident_token i)
-  in
+let add_session b s =
+  Buffer.add_string b "s ";
+  Ascii.add_int b s.js_session;
+  Buffer.add_char b ' ';
+  Ascii.add_int b s.js_consumed;
+  Buffer.add_char b ' ';
+  Ascii.add_int b s.js_state;
+  Buffer.add_char b ' ';
+  (match s.js_open with
+  | None -> Buffer.add_char b '-'
+  | Some i -> add_incident b i);
   match s.js_adaptive with
-  | None -> base
-  | Some token -> base ^ " " ^ token
+  | None -> ()
+  | Some token ->
+      Buffer.add_char b ' ';
+      Buffer.add_string b token
 
-let ended_body session = Printf.sprintf "e %d" session
+let add_ended b session =
+  Buffer.add_string b "e ";
+  Ascii.add_int b session
 
-let incident_event_token = function
-  | Frame.Opened { session; position } -> Printf.sprintf "o:%d:%d" session position
+let add_incident_event b = function
+  | Frame.Opened { session; position } ->
+      Buffer.add_string b "o:";
+      Ascii.add_int b session;
+      Buffer.add_char b ':';
+      Ascii.add_int b position
   | Frame.Closed { session; incident } ->
-      Printf.sprintf "c:%d:%s" session (incident_token incident)
+      Buffer.add_string b "c:";
+      Ascii.add_int b session;
+      Buffer.add_char b ':';
+      add_incident b incident
 
 let incident_event_of_token tok =
   match String.index_opt tok ':' with
@@ -106,7 +137,7 @@ let incident_event_of_token tok =
       | "o" -> (
           match String.split_on_char ':' rest with
           | [ session; position ] -> (
-              match (int_of_string_opt session, int_of_string_opt position) with
+              match (Ascii.parse_nat session, Ascii.parse_nat position) with
               | Some session, Some position ->
                   Some (Frame.Opened { session; position })
               | _ -> None)
@@ -117,19 +148,30 @@ let incident_event_of_token tok =
           | Some cut2 -> (
               let session = String.sub rest 0 cut2 in
               let inc = String.sub rest (cut2 + 1) (String.length rest - cut2 - 1) in
-              match (int_of_string_opt session, incident_of_token inc) with
+              match (Ascii.parse_nat session, incident_of_token inc) with
               | Some session, Some incident ->
                   Some (Frame.Closed { session; incident })
               | _ -> None))
       | _ -> None)
 
-let batch_body b =
-  Printf.sprintf "b %d %d %d %d%s" b.jb_id b.jb_shard b.jb_events
-    (List.length b.jb_incidents)
-    (String.concat ""
-       (List.map (fun e -> " " ^ incident_event_token e) b.jb_incidents))
+let add_batch b r =
+  Buffer.add_string b "b ";
+  Ascii.add_int b r.jb_id;
+  Buffer.add_char b ' ';
+  Ascii.add_int b r.jb_shard;
+  Buffer.add_char b ' ';
+  Ascii.add_int b r.jb_events;
+  Buffer.add_char b ' ';
+  Ascii.add_int b (List.length r.jb_incidents);
+  List.iter
+    (fun e ->
+      Buffer.add_char b ' ';
+      add_incident_event b e)
+    r.jb_incidents
 
-let commit_body count = Printf.sprintf "k %d" count
+let add_commit b count =
+  Buffer.add_string b "k ";
+  Ascii.add_int b count
 
 (* A verified body back into its parsed form; None on any damage. *)
 let parse_body body =
@@ -137,28 +179,33 @@ let parse_body body =
   | "s" :: session :: consumed :: state :: open_tok :: (([] | [ _ ]) as rest)
     -> (
       let js_adaptive =
-        match rest with [ adaptive ] when adaptive <> "" -> Some adaptive | _ -> None
+        match rest with
+        | [] -> Some None
+        | [ adaptive ] when adaptive <> "" -> Some (Some adaptive)
+        | _ -> None
       in
       match
-        ( int_of_string_opt session,
-          int_of_string_opt consumed,
-          int_of_string_opt state,
-          if open_tok = "-" then Some None
-          else Option.map Option.some (incident_of_token open_tok) )
+        ( Ascii.parse_nat session,
+          Ascii.parse_nat consumed,
+          Ascii.parse_nat state,
+          (if open_tok = "-" then Some None
+           else Option.map Option.some (incident_of_token open_tok)),
+          js_adaptive )
       with
-      | Some js_session, Some js_consumed, Some js_state, Some js_open ->
+      | Some js_session, Some js_consumed, Some js_state, Some js_open,
+        Some js_adaptive ->
           Some
             (`Record
               (Session { js_session; js_consumed; js_state; js_open; js_adaptive }))
       | _ -> None)
   | [ "e"; session ] ->
-      Option.map (fun s -> `Record (Ended s)) (int_of_string_opt session)
+      Option.map (fun s -> `Record (Ended s)) (Ascii.parse_nat session)
   | "b" :: id :: shard :: events :: count :: toks -> (
       match
-        ( int_of_string_opt id,
-          int_of_string_opt shard,
-          int_of_string_opt events,
-          int_of_string_opt count )
+        ( Ascii.parse_nat id,
+          Ascii.parse_nat shard,
+          Ascii.parse_nat events,
+          Ascii.parse_nat count )
       with
       | Some jb_id, Some jb_shard, Some jb_events, Some count
         when count = List.length toks -> (
@@ -175,7 +222,7 @@ let parse_body body =
                    }))
           else None)
       | _ -> None)
-  | [ "k"; count ] -> Option.map (fun c -> `Commit c) (int_of_string_opt count)
+  | [ "k"; count ] -> Option.map (fun c -> `Commit c) (Ascii.parse_nat count)
   | _ -> None
 
 (* --- in-memory state ---------------------------------------------------- *)
@@ -220,6 +267,7 @@ let start ?(resume = false) ?(compact_factor = default_compact_factor)
       batch_history = max 1 batch_history;
       live = Hashtbl.create 256;
       batch_q = Queue.create ();
+      body_buf = Buffer.create 256;
       pending = [];
       pending_count = 0;
       recovered_sessions = 0;
@@ -241,14 +289,22 @@ let dropped_lines t = Line_log.dropped t.log
 let appends t = Line_log.appends t.log
 let compactions t = Line_log.compactions t.log
 
+let body t add x =
+  Buffer.clear t.body_buf;
+  add t.body_buf x;
+  Buffer.contents t.body_buf
+
 let push_pending t body record =
   apply_record t record;
   t.pending <- body :: t.pending;
   t.pending_count <- t.pending_count + 1
 
-let record_session t s = push_pending t (session_body s) (Session s)
-let record_end t ~session = push_pending t (ended_body session) (Ended session)
-let record_batch t b = push_pending t (batch_body b) (Batch b)
+let record_session t s = push_pending t (body t add_session s) (Session s)
+
+let record_end t ~session =
+  push_pending t (body t add_ended session) (Ended session)
+
+let record_batch t b = push_pending t (body t add_batch b) (Batch b)
 
 let sessions t =
   (* lint: allow determinism — collection order is erased by the sort *)
@@ -266,13 +322,15 @@ let commit t =
     let live = Hashtbl.length t.live + Queue.length t.batch_q + 1 in
     if Line_log.must_rewrite t.log ~adding:t.pending_count ~live then begin
       let bodies =
-        List.map session_body (sessions t) @ List.map batch_body (batches t)
+        List.map (body t add_session) (sessions t)
+        @ List.map (body t add_batch) (batches t)
       in
-      Line_log.rewrite t.log (bodies @ [ commit_body (List.length bodies) ])
+      Line_log.rewrite t.log
+        (bodies @ [ body t add_commit (List.length bodies) ])
     end
     else
       Line_log.append t.log
-        (List.rev (commit_body t.pending_count :: t.pending));
+        (List.rev (body t add_commit t.pending_count :: t.pending));
     t.pending <- [];
     t.pending_count <- 0
   end

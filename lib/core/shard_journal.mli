@@ -22,7 +22,13 @@
     interrupted tail group whole.  This is what makes a flush atomic —
     a crash mid-append can never leave session states advanced past a
     batch without the batch record that says so (the window in which a
-    resent batch would be applied twice). *)
+    resent batch would be applied twice).
+
+    Record bodies are written with {!Seqdiv_util.Ascii} and decoded
+    canonically: a body that is not byte for byte what the encoder
+    writes for the record it decodes to (a [+5], a [05], upper-case
+    hex, an empty adaptive field) ends the recovered prefix like any
+    other damaged record. *)
 
 open Seqdiv_stream
 

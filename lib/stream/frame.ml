@@ -3,6 +3,8 @@
    per-connection reader that sniffs the format from the first byte.
    See frame.mli for the wire layout. *)
 
+module Ascii = Seqdiv_util.Ascii
+
 type event =
   | Data of { session : int; symbols : int array }
   | End_of_session of { session : int }
@@ -509,6 +511,11 @@ let bits_field fields k =
 
 (* --- ndjson encoding ---------------------------------------------------- *)
 
+let hex_bits f =
+  let b = Buffer.create 16 in
+  Ascii.add_float_bits b f;
+  Buffer.contents b
+
 let json_of_event = function
   | Data { session; symbols } ->
       Json.Obj
@@ -553,9 +560,7 @@ let json_of_incident_event = function
           ("alarms", Json.Int i.alarms);
           (* bits are authoritative (lossless); the float field rides
              along for human readers *)
-          ( "peak_score_bits",
-            Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float i.peak_score))
-          );
+          ("peak_score_bits", Json.String (hex_bits i.peak_score));
           ("peak_score", Json.Float i.peak_score);
         ]
 
@@ -581,8 +586,7 @@ let json_of_shard_stats s =
       ("alarms", Json.Int s.alarms);
       (* bits are authoritative (lossless); the float field rides
          along for human readers *)
-      ( "threshold_bits",
-        Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float s.threshold)) );
+      ("threshold_bits", Json.String (hex_bits s.threshold));
       ("threshold", Json.Float s.threshold);
     ]
 
@@ -876,14 +880,29 @@ let next_response r =
 
 (* --- incident-log rendering --------------------------------------------- *)
 
-let render_incident_event = function
+let render_incident_event ev =
+  let b = Buffer.create 96 in
+  Buffer.add_string b "session ";
+  (match ev with
   | Opened { session; position } ->
-      Printf.sprintf "session %d opened %d" session position
+      Ascii.add_int b session;
+      Buffer.add_string b " opened ";
+      Ascii.add_int b position
   | Closed { session; incident = i } ->
-      Printf.sprintf
-        "session %d closed first=%d last=%d cover=%d..%d alarms=%d peak=%016Lx"
-        session i.first_start i.last_start i.cover_from i.cover_to i.alarms
-        (Int64.bits_of_float i.peak_score)
+      Ascii.add_int b session;
+      Buffer.add_string b " closed first=";
+      Ascii.add_int b i.first_start;
+      Buffer.add_string b " last=";
+      Ascii.add_int b i.last_start;
+      Buffer.add_string b " cover=";
+      Ascii.add_int b i.cover_from;
+      Buffer.add_string b "..";
+      Ascii.add_int b i.cover_to;
+      Buffer.add_string b " alarms=";
+      Ascii.add_int b i.alarms;
+      Buffer.add_string b " peak=";
+      Ascii.add_float_bits b i.peak_score);
+  Buffer.contents b
 
 (* --- health rendering ---------------------------------------------------- *)
 

@@ -44,15 +44,13 @@ let compactions t = t.compactions
 
 (* --- line codec --------------------------------------------------------- *)
 
-let digested body = Printf.sprintf "%s %016Lx" body (Fnv.digest body)
-
 let body_of_line line =
   match String.rindex_opt line ' ' with
   | None -> None
   | Some cut -> (
       let body = String.sub line 0 cut in
       let digest = String.sub line (cut + 1) (String.length line - cut - 1) in
-      match Int64.of_string_opt ("0x" ^ digest) with
+      match Ascii.parse_hex64 digest with
       | Some d when Int64.equal d (Fnv.digest body) -> Some body
       | Some _ | None -> None)
 
@@ -141,8 +139,19 @@ let output_line oc s =
   output_string oc s;
   output_char oc '\n'
 
+(* Each body goes to the channel as it is; only the digest suffix
+   " <16 hex>\n" is built, in one buffer reused for every line. *)
 let output_bodies oc bodies =
-  List.iter (fun body -> output_line oc (digested body)) bodies
+  let suffix = Buffer.create 18 in
+  List.iter
+    (fun body ->
+      Buffer.clear suffix;
+      Buffer.add_char suffix ' ';
+      Ascii.add_hex64 suffix (Fnv.digest body);
+      Buffer.add_char suffix '\n';
+      output_string oc body;
+      Buffer.output_buffer oc suffix)
+    bodies
 
 (* A rename is durable only once its directory entry is: without this
    fsync a power loss can bring back the previous file, or none. *)

@@ -8,7 +8,9 @@ context <free text identifying the run configuration>
 <body> <16-hex FNV-1a of body>
 ...
     v}
-    The log knows nothing of what a body means: each journal encodes
+    The digest is 16 lower-case hex digits ({!Ascii.add_hex64}); a line
+    whose digest is spelled any other way is not digest-valid.  The log
+    knows nothing of what a body means: each journal encodes
     its records as single-line bodies and parses the verified bodies
     back itself.
 

@@ -237,7 +237,10 @@ serve_pid=$!
 "$bin" serve-bench --socket "$serve_sock" $bench_args \
   --incident-log "$tmp/serve-adapt-kill.log" --reconnect --quit > /dev/null 2>&1 &
 client_pid=$!
-while [ "$(cat "$tmp/serve-adapt-kill/shard-0.journal" 2>/dev/null | wc -c)" -lt 4000 ] \
+# Kill once shard 0 has journalled a controller whose threshold has
+# moved (a nonzero adjustments field in a session token), so the
+# resume must restore an adapted threshold, not the initial one.
+while ! grep -q ' at1:[0-9]*:[0-9]*:[1-9]' "$tmp/serve-adapt-kill/shard-0.journal" 2>/dev/null \
   && kill -0 "$client_pid" 2>/dev/null; do
   sleep 0.02
 done
